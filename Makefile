@@ -78,6 +78,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzParseFormula -fuzztime=30s .
 	$(GO) test -fuzz=FuzzParseProgram -fuzztime=30s .
 	$(GO) test -fuzz=FuzzStoreRecover -fuzztime=30s ./internal/store
+	$(GO) test -fuzz=FuzzHandoffImport -fuzztime=30s ./internal/session
 
 clean:
 	$(GO) clean ./...

@@ -5,10 +5,6 @@
 // the unit suites' bounded cross-validation (run it for minutes or
 // hours; `-iters` bounds the run for CI).
 //
-// A random subset of iterations (-cachefrac) is additionally replayed
-// with the oracle verdict cache attached, cross-checking that caching
-// never moves a verdict, a model set, or the logical NP-call total.
-//
 // Setting -faultrate, -deadline or -conflictbudget switches on the
 // chaos layer: every iteration is additionally replayed under the given
 // budget with seeded fault injection, asserting the three-valued
@@ -35,13 +31,13 @@
 // A random subset of iterations (-planfrac) is additionally replayed
 // through an in-process server with the cost-based planner enabled, so
 // the planner's routing (fast path, warm session, fresh enumeration,
-// brute refsem, brute-vs-fresh portfolio race) carries real traffic:
-// every completed verdict is cross-checked against the brute-force
-// references, interruptions must carry typed causes, and after the
-// soak the /healthz planner section must be populated — decisions,
-// cost observations, served estimates, and the portfolio winner
-// histogram — proving the planner actually planned rather than
-// pass-through routing everything fresh.
+// brute refsem) carries real traffic: every completed verdict is
+// cross-checked against the brute-force references, interruptions
+// must carry typed causes, the first query of a cold tiny key the
+// planner sends to brute must be answered by brute, and after the soak
+// the /healthz planner section must be populated — decisions, cost
+// observations, served estimates, brute routes — proving the planner
+// actually planned rather than pass-through routing everything fresh.
 //
 // Setting -churnfrac runs a membership-churn sweep after the soak: a
 // verified load through an in-process cluster while a seeded churn plan
@@ -51,7 +47,7 @@
 //
 // Usage:
 //
-//	ddbsoak [-iters N] [-seed S] [-maxatoms 5] [-cachefrac 0.25] [-cachecap N]
+//	ddbsoak [-iters N] [-seed S] [-maxatoms 5]
 //	        [-deadline D] [-conflictbudget N] [-faultrate F] [-faultseed S]
 //	        [-servefrac F] [-sessionfrac F] [-planfrac F]
 //	        [-clusternodes N] [-churnfrac F] [-v]
@@ -69,11 +65,9 @@ import (
 	"net/http/httptest"
 	"os"
 	"runtime"
-	"strings"
 	"time"
 
 	"disjunct/internal/budget"
-	"disjunct/internal/cache"
 	"disjunct/internal/core"
 	"disjunct/internal/db"
 	"disjunct/internal/faults"
@@ -81,6 +75,7 @@ import (
 	"disjunct/internal/logic"
 	"disjunct/internal/models"
 	"disjunct/internal/oracle"
+	"disjunct/internal/plan"
 	"disjunct/internal/refsem"
 	"disjunct/internal/serve"
 	"disjunct/internal/session"
@@ -93,8 +88,6 @@ func main() {
 	iters := flag.Int("iters", 0, "iterations to run (0 = until interrupted)")
 	seed := flag.Int64("seed", time.Now().UnixNano(), "rng seed")
 	maxAtoms := flag.Int("maxatoms", 5, "maximum vocabulary size (brute force is 2^n)")
-	cacheFrac := flag.Float64("cachefrac", 0.25, "fraction of iterations replayed with the oracle verdict cache")
-	cacheCap := flag.Int("cachecap", 0, "verdict cache capacity (0 = default)")
 	deadline := flag.Duration("deadline", 0, "chaos mode: per-query wall-clock budget (0 = off)")
 	conflictBudget := flag.Int64("conflictbudget", 0, "chaos mode: per-query SAT-conflict budget (0 = unlimited)")
 	faultRate := flag.Float64("faultrate", 0, "chaos mode: injected fault rate (0 = none)")
@@ -102,7 +95,7 @@ func main() {
 	serveFrac := flag.Float64("servefrac", 0, "fraction of iterations replayed through an in-process HTTP server (0 = off)")
 	batchFrac := flag.Float64("batchfrac", 0, "fraction of iterations additionally replayed through /v1/batch (0 = off; implies -servefrac machinery)")
 	sessionFrac := flag.Float64("sessionfrac", 0, "fraction of iterations replayed through a shared warm session manager (0 = off)")
-	planFrac := flag.Float64("planfrac", 0, "fraction of iterations replayed through an in-process server with the cost-based planner enabled, cross-checking planner-routed verdicts (fast/warm/fresh/brute/portfolio) against the brute-force references and asserting the /healthz planner section is populated (0 = off)")
+	planFrac := flag.Float64("planfrac", 0, "fraction of iterations replayed through an in-process server with the cost-based planner enabled, cross-checking planner-routed verdicts (fast/warm/fresh/brute) against the brute-force references and asserting the /healthz planner section is populated (0 = off)")
 	storeDir := flag.String("storedir", "", "back the session manager with a persistent store at this directory and, after the soak, reopen it in a pre-warmed second manager that must replay every recorded verdict identically with zero cold compiles (enables the session checker if -sessionfrac is 0)")
 	clusterNodes := flag.Int("clusternodes", 0, "after the soak, run a verified load through an in-process N-worker cluster with seeded node chaos (kill/partition/slow of a seeded victim mid-load) and a graceful drain handoff; any divergent or untyped outcome fails the run (0 = off)")
 	clusterReqs := flag.Int("clusterreqs", 240, "requests per cluster sweep phase (with -clusternodes)")
@@ -111,9 +104,8 @@ func main() {
 	flag.Parse()
 
 	rng := rand.New(rand.NewSource(*seed))
-	fmt.Printf("ddbsoak: seed=%d maxatoms=%d cachefrac=%g\n", *seed, *maxAtoms, *cacheFrac)
+	fmt.Printf("ddbsoak: seed=%d maxatoms=%d\n", *seed, *maxAtoms)
 
-	cc := &cacheChecker{cache: cache.New(*cacheCap)}
 	var chaos *chaosChecker
 	if *deadline > 0 || *conflictBudget > 0 || *faultRate > 0 {
 		chaos = &chaosChecker{
@@ -148,8 +140,8 @@ func main() {
 				fmt.Printf("ddbsoak: store open: %v\n", err)
 				os.Exit(2)
 			}
-			fmt.Printf("store: dir=%s recovered artifacts=%d verdicts=%d interns=%d torntail=%v\n",
-				*storeDir, rec.Artifacts, rec.Verdicts, rec.Interns, rec.TornTail)
+			fmt.Printf("store: dir=%s recovered artifacts=%d verdicts=%d torntail=%v\n",
+				*storeDir, rec.Artifacts, rec.Verdicts, rec.TornTail)
 		}
 		sx = &sessionChecker{mgr: session.NewManager(session.Config{Store: st}), st: st, dir: *storeDir}
 		fmt.Printf("session: sessionfrac=%g\n", *sessionFrac)
@@ -175,9 +167,6 @@ func main() {
 			d = gen.Random(rng, gen.NormalNoIC(n, 1+rng.Intn(6)))
 		}
 		ok := check(d, rng)
-		if *cacheFrac > 0 && rng.Float64() < *cacheFrac {
-			ok = cc.check(d, rng) && ok
-		}
 		if chaos != nil {
 			ok = chaos.check(d, rng, i) && ok
 		}
@@ -197,11 +186,6 @@ func main() {
 			divergences++
 			fmt.Printf("DIVERGENCE at iteration %d (seed %d)\nDB:\n%s\n", i, *seed, d.String())
 		}
-	}
-	if cc.checked > 0 {
-		rate := float64(cc.hits) / float64(cc.hits+cc.misses)
-		fmt.Printf("cache cross-check: %d iterations, hits=%d misses=%d rate=%.1f%%\n",
-			cc.checked, cc.hits, cc.misses, 100*rate)
 	}
 	// Drain the in-process server before the chaos goroutine-settle
 	// check: its listener and idle keep-alive connections must be gone
@@ -311,11 +295,6 @@ func (ch *chaosChecker) check(d *db.DB, rng *rand.Rand, iter int) bool {
 		if got != want {
 			fmt.Printf("  chaos %s ⊨ %s: silent corruption — budgeted=%v unbudgeted=%v\n",
 				sem, d.Voc.LitString(lit), got, want)
-			ok = false
-		}
-		c := o.Counters()
-		if c.CacheHits+c.CacheMisses != 0 {
-			fmt.Printf("  chaos %s: cacheless oracle reported hits/misses %+v\n", sem, c)
 			ok = false
 		}
 	}
@@ -582,27 +561,30 @@ func (sc *serveChecker) checkBatch(d *db.DB, rng *rand.Rand) bool {
 // plannerChecker replays a subset of iterations through an in-process
 // server with the cost-based planner enabled, shared across all
 // iterations so the estimator warms up: first sight of a (database,
-// semantics) key routes cold (portfolio for the tiny Σ₂ᵖ cases, warm
-// or fast otherwise), the repeat is served from a calibrated estimate.
-// Every completed verdict — whatever procedure the planner picked —
-// must match the brute-force references, and interruptions must carry
-// typed causes. close() asserts the /healthz planner section is
-// populated: decisions, observations, served estimates, and at least
-// one portfolio race when any query straddled the brute/fresh
-// boundary.
+// semantics) key routes cold (brute for the tiny cases outside the
+// fast and warm routes, warm or fast otherwise), the repeat is served
+// from a calibrated estimate. Every completed verdict — whatever
+// procedure the planner picked — must match the brute-force
+// references, interruptions must carry typed causes, and a cold key
+// the planner sends to brute must come back on the brute path.
+// close() asserts the /healthz planner section is populated:
+// decisions, observations, served estimates, and brute routes
+// whenever a completed response reported the brute path.
 type plannerChecker struct {
 	srv         *serve.Server
 	hs          *httptest.Server
+	bruteAtoms  int             // the server planner's brute instance bound
+	seen        map[string]bool // (fingerprint, semantics) keys already sent
 	queries     int
 	completed   int
 	interrupted int
-	portfolios  int // completed responses served via a portfolio race
 	brutes      int // completed responses served via the brute procedure
 }
 
 func newPlannerChecker(faultRate float64, faultSeed int64) *plannerChecker {
 	srv := serve.New(serve.Config{FaultRate: faultRate, FaultSeed: faultSeed, RetryMax: 2, Planner: true})
-	return &plannerChecker{srv: srv, hs: httptest.NewServer(srv.Handler())}
+	return &plannerChecker{srv: srv, hs: httptest.NewServer(srv.Handler()),
+		bruteAtoms: plan.New(plan.Config{}).BruteMaxAtoms(), seen: map[string]bool{}}
 }
 
 func (px *plannerChecker) check(d *db.DB, rng *rand.Rand) bool {
@@ -612,6 +594,7 @@ func (px *plannerChecker) check(d *db.DB, rng *rand.Rand) bool {
 	}
 	lit := logic.NegLit(logic.Atom(rng.Intn(rt.N())))
 	litText := rt.Voc.LitString(lit)
+	comp := session.Compile(rt.String(), rt)
 	ok := true
 
 	cases := []struct {
@@ -624,7 +607,7 @@ func (px *plannerChecker) check(d *db.DB, rng *rand.Rand) bool {
 		{"EGCWA", refsem.EGCWA, false, false},
 		{"DDR", refsem.DDR, true, false}, // NP-class, brute-eligible
 		{"PWS", refsem.PWS, true, false},
-		{"DSM", refsem.DSM, false, false}, // Σ₂ᵖ-class, portfolio route
+		{"DSM", refsem.DSM, false, false}, // Σ₂ᵖ-class, brute route when tiny
 		{"PERF", refsem.PERF, false, true},
 	}
 	for _, c := range cases {
@@ -635,8 +618,16 @@ func (px *plannerChecker) check(d *db.DB, rng *rand.Rand) bool {
 			continue
 		}
 		want := refsem.Entails(c.ref(rt), logic.LitF(lit))
-		// Twice per case: the first request may route cold (portfolio),
-		// the second must see the estimate the first one calibrated.
+		// A cold key outside the fast and warm routes goes brute when the
+		// instance is tiny: no estimate exists yet to say it is cheap.
+		key := comp.Raw + "\x00" + c.sem
+		wantBrute := !px.seen[key] &&
+			plan.ClassOf(comp, c.sem, session.KindLiteral) != plan.ClassPoly &&
+			!session.WarmEligible(c.sem, session.KindLiteral) &&
+			plan.BruteEligible(comp, c.sem, px.bruteAtoms)
+		px.seen[key] = true
+		// Twice per case: the first request may route cold, the second
+		// must see the estimate the first one calibrated.
 		for rep := 0; rep < 2; rep++ {
 			px.queries++
 			body, _ := json.Marshal(serve.QueryRequest{Semantics: c.sem, DB: rt.String(), Literal: litText})
@@ -669,11 +660,12 @@ func (px *plannerChecker) check(d *db.DB, rng *rand.Rand) bool {
 				continue
 			}
 			px.completed++
-			switch {
-			case strings.HasPrefix(qr.Path, "portfolio:"):
-				px.portfolios++
-			case qr.Path == "brute":
+			if qr.Path == "brute" {
 				px.brutes++
+			}
+			if rep == 0 && wantBrute && qr.Path != "brute" {
+				fmt.Printf("  planner %s ⊨ %s: cold tiny key served on path %q, want brute\n", c.sem, litText, qr.Path)
+				ok = false
 			}
 			if qr.Holds != want {
 				fmt.Printf("  planner %s ⊨ %s (path %q): served=%v reference=%v\n",
@@ -687,8 +679,8 @@ func (px *plannerChecker) check(d *db.DB, rng *rand.Rand) bool {
 
 // close drains the planner server and asserts its /healthz planner
 // section is populated — the planner must have decided, observed, and
-// served estimates, and raced at least one portfolio whenever a
-// completed response reported a portfolio path.
+// served estimates, and routed to brute whenever a completed response
+// reported the brute path.
 func (px *plannerChecker) close() bool {
 	ok := true
 	ps := map[string]int64{}
@@ -720,21 +712,15 @@ func (px *plannerChecker) close() bool {
 			fmt.Println("  planner: no estimate ever served despite repeated keys")
 			ok = false
 		}
-		if px.portfolios > 0 && ps["portfolio_races"] == 0 {
-			fmt.Println("  planner: portfolio paths served but zero races recorded")
-			ok = false
-		}
-		if ps["portfolio_races"] != ps["portfolio_win_brute"]+ps["portfolio_win_fresh"] {
-			fmt.Printf("  planner: winner histogram %d+%d does not sum to races %d\n",
-				ps["portfolio_win_brute"], ps["portfolio_win_fresh"], ps["portfolio_races"])
+		if px.brutes > 0 && ps["routed_brute"] == 0 {
+			fmt.Println("  planner: brute paths served but zero brute routes recorded")
 			ok = false
 		}
 	}
-	fmt.Printf("planner cross-check: %d queries, completed=%d interrupted=%d portfolio=%d brute=%d "+
-		"(healthz: decisions=%d est_served=%d observations=%d races=%d wins brute/fresh=%d/%d shed_cost=%d)\n",
-		px.queries, px.completed, px.interrupted, px.portfolios, px.brutes,
-		ps["decisions"], ps["estimates_served"], ps["observations"],
-		ps["portfolio_races"], ps["portfolio_win_brute"], ps["portfolio_win_fresh"], ps["shed_cost"])
+	fmt.Printf("planner cross-check: %d queries, completed=%d interrupted=%d brute=%d "+
+		"(healthz: decisions=%d est_served=%d observations=%d routed_brute=%d shed_cost=%d)\n",
+		px.queries, px.completed, px.interrupted, px.brutes,
+		ps["decisions"], ps["estimates_served"], ps["observations"], ps["routed_brute"], ps["shed_cost"])
 	return ok
 }
 
@@ -922,73 +908,6 @@ func (sx *sessionChecker) replay() bool {
 	}
 	fmt.Printf("store replay: recovered artifacts=%d verdicts=%d, prewarmed=%d, replayed=%d/%d, coldcompiles=%d\n",
 		rec.Artifacts, rec.Verdicts, warmed, replayed, len(sx.recorded), st.ColdCompiles)
-	return ok
-}
-
-// cacheChecker replays production-semantics queries with the oracle
-// verdict cache attached — shared across iterations, so hits
-// accumulate across databases — and cross-checks the cached run
-// against an uncached one: verdicts, model sets, and logical NP-call
-// totals must all be identical, and the cached oracle's hit/miss split
-// must account for every call.
-type cacheChecker struct {
-	cache   *cache.Cache
-	checked int
-	hits    int64
-	misses  int64
-}
-
-func (cc *cacheChecker) check(d *db.DB, rng *rand.Rand) bool {
-	cc.checked++
-	lit := logic.NegLit(logic.Atom(rng.Intn(d.N())))
-	ok := true
-	for _, sem := range []string{"GCWA", "EGCWA", "ECWA", "CCWA", "DSM", "PERF"} {
-		if sem == "PERF" && d.HasIntegrityClauses() {
-			continue
-		}
-		plainOra := oracle.NewNP()
-		cachedOra := oracle.NewNP().WithCache(cc.cache)
-		plain, _ := core.New(sem, core.Options{Oracle: plainOra})
-		cached, _ := core.New(sem, core.Options{Oracle: cachedOra})
-
-		wantV, wantErr := plain.InferLiteral(d, lit)
-		gotV, gotErr := cached.InferLiteral(d, lit)
-		if wantV != gotV || (wantErr == nil) != (gotErr == nil) {
-			fmt.Printf("  cache %s ⊨ %s: cached=%v/%v uncached=%v/%v\n",
-				sem, d.Voc.LitString(lit), gotV, gotErr, wantV, wantErr)
-			ok = false
-		}
-
-		wantM := map[string]bool{}
-		gotM := map[string]bool{}
-		plain.Models(d, 0, func(m logic.Interp) bool { wantM[m.Key()] = true; return true })
-		cached.Models(d, 0, func(m logic.Interp) bool { gotM[m.Key()] = true; return true })
-		if len(wantM) != len(gotM) {
-			fmt.Printf("  cache %s models: cached=%d uncached=%d\n", sem, len(gotM), len(wantM))
-			ok = false
-		} else {
-			for k := range wantM {
-				if !gotM[k] {
-					fmt.Printf("  cache %s models: model sets diverge\n", sem)
-					ok = false
-					break
-				}
-			}
-		}
-
-		p, c := plainOra.Counters(), cachedOra.Counters()
-		if p.NPCalls != c.NPCalls {
-			fmt.Printf("  cache %s: NP-call total moved (cached=%d uncached=%d)\n", sem, c.NPCalls, p.NPCalls)
-			ok = false
-		}
-		if c.CacheHits+c.CacheMisses != c.NPCalls {
-			fmt.Printf("  cache %s: hits(%d)+misses(%d) != NP calls(%d)\n",
-				sem, c.CacheHits, c.CacheMisses, c.NPCalls)
-			ok = false
-		}
-		cc.hits += c.CacheHits
-		cc.misses += c.CacheMisses
-	}
 	return ok
 }
 

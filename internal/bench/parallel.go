@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"time"
 
-	"disjunct/internal/cache"
 	"disjunct/internal/db"
 	"disjunct/internal/gen"
 	"disjunct/internal/logic"
@@ -44,39 +43,12 @@ type PoolCase struct {
 	PooledMS float64 `json:"pooled_ms"`
 }
 
-// CacheCase is one (instance family × semantics) cached-vs-uncached
-// comparison. The workload (HasModel, literal inference over every
-// atom, one formula entailment, minimal-model enumeration — all pure
-// one-shot-Sat paths) runs once on an uncached oracle and once on an
-// oracle with a fresh verdict cache; RunParallel asserts that
-// verdicts, model sets and logical NP-call totals are identical and
-// that Hits+Misses == NPCalls with Hits > 0. Conflict counts are the
-// solver-work-drop evidence; wall-clock is reported, never gated.
-type CacheCase struct {
-	Name          string  `json:"name"`
-	Semantics     string  `json:"semantics"`
-	Atoms         int     `json:"atoms"`
-	NPCalls       int64   `json:"np_calls"` // logical total, identical cached/uncached
-	Hits          int64   `json:"cache_hits"`
-	Misses        int64   `json:"cache_misses"`
-	HitRate       float64 `json:"hit_rate"`
-	UncachedMS    float64 `json:"uncached_ms"`
-	CachedMS      float64 `json:"cached_ms"`
-	UncachedConfl int64   `json:"uncached_confl"`
-	CachedConfl   int64   `json:"cached_confl"`
-	// ParNP is the logical NP-call total of the cached worker-pool
-	// minimal-model enumeration, asserted identical for 1 and N
-	// workers (the cache layer preserves PR 1's worker invariance).
-	ParNP int64 `json:"par_np_calls"`
-}
-
 // ParallelReport is the data behind the "Parallel oracle layer"
 // section of the report (and the -json artefact).
 type ParallelReport struct {
 	Workers  int            `json:"workers"`
 	Parallel []ParallelCase `json:"parallel"`
 	Pool     []PoolCase     `json:"solver_pool"`
-	Cache    []CacheCase    `json:"cache"`
 	Session  []SessionCase  `json:"session,omitempty"`
 	Batch    []BatchCase    `json:"batch,omitempty"`
 	Stream   []StreamCase   `json:"stream,omitempty"`
@@ -214,9 +186,6 @@ func RunParallel(scale Scale, w io.Writer) (*ParallelReport, error) {
 		fmt.Fprintf(w, "  %-14s %10d %10s %10s\n", pc.name, calls, fmtDuration(freshT), fmtDuration(pooledT))
 	}
 
-	if err := runCacheSweep(scale, workers, w, rep); err != nil {
-		return rep, err
-	}
 	if err := runSessionSweep(scale, w, rep); err != nil {
 		return rep, err
 	}
@@ -236,203 +205,4 @@ func RunParallel(scale Scale, w io.Writer) (*ParallelReport, error) {
 		return rep, err
 	}
 	return rep, nil
-}
-
-// cacheDBs is the instance set of the cached-vs-uncached sweep —
-// slightly smaller than parallelDBs because the workload multiplies
-// each instance by a per-atom literal-inference pass.
-func cacheDBs(scale Scale) []struct {
-	name string
-	db   *db.DB
-} {
-	rng := rand.New(rand.NewSource(41))
-	sizes := []int{18, 22}
-	cyc := 6
-	if scale == Full {
-		sizes = []int{26, 32}
-		cyc = 8
-	}
-	var out []struct {
-		name string
-		db   *db.DB
-	}
-	for _, n := range sizes {
-		out = append(out, struct {
-			name string
-			db   *db.DB
-		}{fmt.Sprintf("rand-pos-n%d", n), gen.Random(rng, gen.Positive(n, 3*n/2))})
-	}
-	out = append(out, struct {
-		name string
-		db   *db.DB
-	}{fmt.Sprintf("col-cyc%d", cyc), gen.ColoringDB(gen.Cycle(cyc), 3)})
-	return out
-}
-
-// cacheRun is one execution of the cache-sweep workload.
-type cacheRun struct {
-	verdicts []bool
-	models   map[string]bool
-	counters oracle.Counters
-	elapsed  time.Duration
-}
-
-// runCacheWorkload runs the pure one-shot-Sat workload — HasModel,
-// literal inference for every atom, one formula entailment, serial
-// minimal-model enumeration — on a fresh oracle, cached or not. Every
-// oracle call flows through NP.Sat, so with the cache attached
-// CacheHits+CacheMisses accounts for the complete logical call total.
-func runCacheWorkload(d *db.DB, part models.Partition, withCache bool) cacheRun {
-	o := oracle.NewNP()
-	if withCache {
-		o.WithCache(cache.New(0))
-	}
-	e := models.NewEngine(d, o)
-	start := time.Now()
-	var verdicts []bool
-	ok, _ := e.HasModel()
-	verdicts = append(verdicts, ok)
-	for v := 0; v < d.N(); v++ {
-		verdicts = append(verdicts, e.AtomFalseInAllMinimal(logic.Atom(v), part))
-	}
-	f := logic.Or(logic.AtomF(0), logic.AtomF(1), logic.AtomF(2))
-	verdicts = append(verdicts, e.MMEntails(f, part))
-	keys := map[string]bool{}
-	e.MinimalModelsPZ(part, 0, func(m logic.Interp) bool {
-		keys[m.Key()] = true
-		return true
-	})
-	return cacheRun{verdicts, keys, o.Counters(), time.Since(start)}
-}
-
-// signatureSet enumerates MM(DB;P;Z) with the worker-pool enumerator
-// on a cache-backed (or plain) oracle and returns the (P,Q)-signature
-// set plus the logical NP-call total. Signatures (not full models) are
-// collected because parallel representatives may differ on Z atoms.
-func signatureSet(d *db.DB, part models.Partition, workers int, withCache bool) (map[string]bool, int64) {
-	o := oracle.NewNP()
-	if withCache {
-		o.WithCache(cache.New(0))
-	}
-	e := models.NewEngine(d, o)
-	pq := part.P.Clone()
-	pq.UnionWith(part.Q)
-	keys := map[string]bool{}
-	e.MinimalModelsPZPar(part, 0, func(m logic.Interp) bool {
-		keys[m.True.Clone().IntersectWith(pq).Key()] = true
-		return true
-	}, models.ParOptions{Workers: workers})
-	return keys, o.Counters().NPCalls
-}
-
-// runCacheSweep is the cached-vs-uncached section of RunParallel: for
-// each instance family it runs the GCWA workload (full minimisation)
-// and an ECWA workload (a ⟨P;Q;Z⟩ partition with all three parts
-// non-empty) with and without the verdict cache, asserting the audit
-// invariants and recording the comparison.
-func runCacheSweep(scale Scale, workers int, w io.Writer, rep *ParallelReport) error {
-	fmt.Fprintln(w)
-	fmt.Fprintf(w, "  verdict cache (same workload, cache off vs on):\n")
-	fmt.Fprintf(w, "  %-14s %-5s %9s %6s %6s %7s %10s %10s %9s %9s\n",
-		"instance", "sem", "NP-calls", "hits", "miss", "rate", "uncached", "cached", "confl-u", "confl-c")
-
-	for _, pc := range cacheDBs(scale) {
-		d := pc.db
-		n := d.N()
-		for _, sem := range []struct {
-			name string
-			part models.Partition
-		}{
-			{"GCWA", models.FullMin(n)},
-			{"ECWA", models.NewPartition(n, atomRange(0, 2*n/3), atomRange(5*n/6, n))},
-		} {
-			plain := runCacheWorkload(d, sem.part, false)
-			cached := runCacheWorkload(d, sem.part, true)
-
-			// Audit invariants: enabling the cache must not move any
-			// verdict, any model, or the logical NP-call total, and the
-			// hit/miss split must account for every call.
-			if len(plain.verdicts) != len(cached.verdicts) {
-				return fmt.Errorf("cache %s/%s: verdict streams differ in length", pc.name, sem.name)
-			}
-			for i := range plain.verdicts {
-				if plain.verdicts[i] != cached.verdicts[i] {
-					return fmt.Errorf("cache %s/%s: verdict %d flipped with cache on", pc.name, sem.name, i)
-				}
-			}
-			if len(plain.models) != len(cached.models) {
-				return fmt.Errorf("cache %s/%s: model sets diverge (%d uncached, %d cached)",
-					pc.name, sem.name, len(plain.models), len(cached.models))
-			}
-			for k := range plain.models {
-				if !cached.models[k] {
-					return fmt.Errorf("cache %s/%s: minimal model missing from cached enumeration", pc.name, sem.name)
-				}
-			}
-			if plain.counters.NPCalls != cached.counters.NPCalls {
-				return fmt.Errorf("cache %s/%s: logical NP-call total moved (%d uncached, %d cached)",
-					pc.name, sem.name, plain.counters.NPCalls, cached.counters.NPCalls)
-			}
-			hits, misses := cached.counters.CacheHits, cached.counters.CacheMisses
-			if hits+misses != cached.counters.NPCalls {
-				return fmt.Errorf("cache %s/%s: hits(%d)+misses(%d) != NP calls(%d)",
-					pc.name, sem.name, hits, misses, cached.counters.NPCalls)
-			}
-			if hits == 0 {
-				return fmt.Errorf("cache %s/%s: zero cache hits on a workload with built-in redundancy", pc.name, sem.name)
-			}
-
-			// Worker-pool enumeration on a cached oracle: logical totals
-			// stay worker-count-invariant and match the uncached pool.
-			sig1, np1 := signatureSet(d, sem.part, 1, true)
-			sigN, npN := signatureSet(d, sem.part, workers, true)
-			_, npU := signatureSet(d, sem.part, 1, false)
-			if np1 != npN {
-				return fmt.Errorf("cache %s/%s: cached parallel NP total depends on workers (par1 %d, par%d %d)",
-					pc.name, sem.name, np1, workers, npN)
-			}
-			if np1 != npU {
-				return fmt.Errorf("cache %s/%s: cache moved the parallel NP total (%d cached, %d uncached)",
-					pc.name, sem.name, np1, npU)
-			}
-			if len(sig1) != len(sigN) {
-				return fmt.Errorf("cache %s/%s: cached parallel signature sets diverge", pc.name, sem.name)
-			}
-			for k := range sig1 {
-				if !sigN[k] {
-					return fmt.Errorf("cache %s/%s: signature missing at %d workers", pc.name, sem.name, workers)
-				}
-			}
-
-			rate := float64(hits) / float64(hits+misses)
-			rep.Cache = append(rep.Cache, CacheCase{
-				Name:          pc.name,
-				Semantics:     sem.name,
-				Atoms:         n,
-				NPCalls:       cached.counters.NPCalls,
-				Hits:          hits,
-				Misses:        misses,
-				HitRate:       rate,
-				UncachedMS:    float64(plain.elapsed.Microseconds()) / 1e3,
-				CachedMS:      float64(cached.elapsed.Microseconds()) / 1e3,
-				UncachedConfl: plain.counters.SATConfl,
-				CachedConfl:   cached.counters.SATConfl,
-				ParNP:         np1,
-			})
-			fmt.Fprintf(w, "  %-14s %-5s %9d %6d %6d %6.1f%% %10s %10s %9d %9d\n",
-				pc.name, sem.name, cached.counters.NPCalls, hits, misses, 100*rate,
-				fmtDuration(plain.elapsed), fmtDuration(cached.elapsed),
-				plain.counters.SATConfl, cached.counters.SATConfl)
-		}
-	}
-	return nil
-}
-
-// atomRange returns the atoms [lo, hi).
-func atomRange(lo, hi int) []logic.Atom {
-	var out []logic.Atom
-	for a := lo; a < hi; a++ {
-		out = append(out, logic.Atom(a))
-	}
-	return out
 }

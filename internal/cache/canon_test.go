@@ -143,3 +143,27 @@ func TestCanonicalRandomRenamings(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkCanonicalize measures the canonical labeling on a
+// deterministic pseudo-random 3-CNF, the shape of a typical
+// minimality query.
+func BenchmarkCanonicalize(b *testing.B) {
+	const nVars, nClauses = 40, 120
+	rng := rand.New(rand.NewSource(1))
+	c := make(logic.CNF, 0, nClauses)
+	for i := 0; i < nClauses; i++ {
+		var lits []int
+		for j := 0; j < 3; j++ {
+			l := 1 + rng.Intn(nVars)
+			if rng.Intn(2) == 0 {
+				l = -l
+			}
+			lits = append(lits, l)
+		}
+		c = append(c, cl(lits...))
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		Canonicalize(nVars, c)
+	}
+}

@@ -11,17 +11,20 @@ import (
 )
 
 // The brute procedure answers a query by explicit refsem model-set
-// construction — 2ⁿ enumeration straight from the paper's definitions,
-// no oracle, no search. On tiny instances that is microseconds of pure
-// CPU, cheaper than a single SAT call, and immune to budget trips. The
-// dispatch collapses the registry's alias/partition pairs onto the
+// construction — 2ⁿ enumeration of interpretations straight from the
+// paper's definitions, no oracle, no search. On tiny instances that is
+// microseconds of pure CPU, cheaper than a single SAT call; it polls no
+// budget, which is safe only because 2ⁿ is bounded by the atom cap.
+// The dispatch collapses the registry's alias/partition pairs onto the
 // reference constructions that the serve layer's default (nil
 // partition = full minimisation) makes equivalent: CCWA with P = all
 // atoms is GCWA; ECWA and CIRC collapse onto EGCWA's minimal models;
-// WGCWA shares DDR's model set; PMS shares PWS's possible worlds.
-// CWA has no reference construction, PDSM enumerates partial models
-// (a different answer shape), and ICWA's stratifiability is dynamic —
-// all three fall through to the fresh path.
+// WGCWA shares DDR's model set. CWA has no reference construction,
+// PDSM enumerates partial models (a different answer shape), and
+// ICWA's stratifiability is dynamic. PWS and PMS are left out too:
+// refsem.PWS enumerates split programs, ∏(2^|head|−1) of them, which
+// the atom cap does not bound (up to 1.1·10⁹ on 8-atom instances). All
+// of these take the fresh path.
 var bruteRefs = map[string]func(*db.DB) []logic.Interp{
 	"GCWA":  refsem.GCWA,
 	"CCWA":  refsem.GCWA,
@@ -30,8 +33,6 @@ var bruteRefs = map[string]func(*db.DB) []logic.Interp{
 	"CIRC":  refsem.EGCWA,
 	"DDR":   refsem.DDR,
 	"WGCWA": refsem.DDR,
-	"PWS":   refsem.PWS,
-	"PMS":   refsem.PWS,
 	"DSM":   refsem.DSM,
 	"PERF":  refsem.PERF,
 }
@@ -62,7 +63,8 @@ func BruteEligible(comp *session.Compiled, sem string, maxAtoms int) bool {
 // Brute answers one query by reference model-set construction. ok is
 // false when the pair is ineligible or the context is already done —
 // the caller falls back to the fresh path. A brute answer is always
-// definite: no oracle, no budget, no faults.
+// definite: no oracle and no faults. It does not poll ctx once
+// started; BruteEligible's atom cap is what bounds its run time.
 func Brute(ctx context.Context, comp *session.Compiled, sem string, kind session.Kind, lit logic.Lit, f *logic.Formula, maxAtoms int) (holds, ok bool) {
 	if !BruteEligible(comp, sem, maxAtoms) {
 		return false, false

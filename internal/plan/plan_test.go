@@ -90,12 +90,12 @@ func TestDecideLadder(t *testing.T) {
 		t.Errorf("CWA literal routed %v, want fresh (no brute reference)", d.Proc)
 	}
 
-	// The brute/fresh boundary on a tiny Σ₂ᵖ query: cold races the
-	// portfolio; a cheap calibrated estimate goes fresh; a
-	// boundary-straddling one races; a clearly-expensive one goes brute.
+	// The brute/fresh boundary on a tiny Σ₂ᵖ query: cold goes brute; a
+	// cheap calibrated estimate goes fresh; a boundary-straddling or
+	// clearly-expensive one goes brute.
 	d := p.Decide(disj, "DSM", session.KindLiteral)
-	if d.Proc != ProcPortfolio || d.HaveEst {
-		t.Fatalf("cold tiny DSM literal routed %v (haveEst=%v), want portfolio cold", d.Proc, d.HaveEst)
+	if d.Proc != ProcBrute || d.HaveEst {
+		t.Fatalf("cold tiny DSM literal routed %v (haveEst=%v), want brute cold", d.Proc, d.HaveEst)
 	}
 	p.Observe(disj.Raw, "DSM", Cost{NPCalls: 2, Micros: 10})
 	if d := p.Decide(disj, "DSM", session.KindLiteral); d.Proc != ProcFresh || !d.HaveEst || d.EstNP != 2 {
@@ -103,8 +103,18 @@ func TestDecideLadder(t *testing.T) {
 	}
 	p2 := New(Config{})
 	p2.Observe(disj.Raw, "DSM", Cost{NPCalls: 6})
-	if d := p2.Decide(disj, "DSM", session.KindLiteral); d.Proc != ProcPortfolio {
-		t.Errorf("boundary-estimate DSM routed %v, want portfolio", d.Proc)
+	if d := p2.Decide(disj, "DSM", session.KindLiteral); d.Proc != ProcBrute {
+		t.Errorf("boundary-estimate DSM routed %v, want brute", d.Proc)
+	}
+	// PWS and PMS have no brute route: split enumeration is not bounded
+	// by the atom cap, so even a tiny instance goes fresh.
+	for _, sem := range []string{"PWS", "PMS"} {
+		if BruteEligible(disj, sem, 16) {
+			t.Errorf("BruteEligible(%s) = true, want false", sem)
+		}
+		if d := p2.Decide(disj, sem, session.KindFormula); d.Proc != ProcFresh {
+			t.Errorf("tiny %s formula routed %v, want fresh", sem, d.Proc)
+		}
 	}
 	p3 := New(Config{})
 	p3.Observe(disj.Raw, "DSM", Cost{NPCalls: 40})
@@ -114,7 +124,7 @@ func TestDecideLadder(t *testing.T) {
 
 	st := p.Stats()
 	if st["decisions"] == 0 || st["routed_fast"] == 0 || st["routed_warm"] == 0 ||
-		st["routed_fresh"] == 0 || st["routed_portfolio"] == 0 {
+		st["routed_fresh"] == 0 || st["routed_brute"] == 0 {
 		t.Errorf("routing counters not maintained: %v", st)
 	}
 }
@@ -124,7 +134,7 @@ func TestShouldShed(t *testing.T) {
 	definite := compile(t, "a. b :- a.")
 	p := New(Config{})
 
-	cold := p.Decide(disj, "DSM", session.KindLiteral) // Σ₂ᵖ, cold, portfolio
+	cold := p.Decide(wideDB(t, 20), "DSM", session.KindLiteral) // Σ₂ᵖ, cold, above the brute cap
 	if p.ShouldShed(cold, 3, 8) {
 		t.Error("shed below the occupancy threshold")
 	}

@@ -24,6 +24,7 @@ package pws
 
 import (
 	"disjunct/internal/bitset"
+	"disjunct/internal/budget"
 	"disjunct/internal/core"
 	"disjunct/internal/db"
 	"disjunct/internal/fixpoint"
@@ -71,12 +72,23 @@ func (s *Sem) check(d *db.DB) error {
 	return nil
 }
 
+// splitPollEvery is how many split programs the enumeration builds
+// between polls of the oracle's budget. The split count is the product
+// of 2^|head|−1 over the disjunctive clauses and issues no oracle call,
+// so without the poll a deadline or cancellation could never stop it.
+const splitPollEvery = 256
+
 // PossibleModels enumerates the distinct possible models of d
-// satisfying its integrity clauses. limit ≤ 0 means unlimited.
-func (s *Sem) PossibleModels(d *db.DB, limit int, yield func(logic.Interp) bool) (int, error) {
+// satisfying its integrity clauses. limit ≤ 0 means unlimited. The
+// enumeration polls the oracle's attached budget every splitPollEvery
+// split programs and returns its typed cause (deadline, cancellation)
+// with the count of models yielded so far.
+func (s *Sem) PossibleModels(d *db.DB, limit int, yield func(logic.Interp) bool) (count int, err error) {
+	defer budget.Recover(&err)
 	if err := s.check(d); err != nil {
 		return 0, err
 	}
+	b := s.opts.Oracle.Budget()
 	// Separate genuinely disjunctive clauses from definite ones and
 	// integrity clauses.
 	var definite []db.Clause
@@ -94,7 +106,6 @@ func (s *Sem) PossibleModels(d *db.DB, limit int, yield func(logic.Interp) bool)
 	}
 
 	seen := make(map[string]bool)
-	count := 0
 	stopped := false
 
 	// Enumerate nonempty head subsets per disjunctive clause.
@@ -103,7 +114,12 @@ func (s *Sem) PossibleModels(d *db.DB, limit int, yield func(logic.Interp) bool)
 		choice[i] = 1 // nonempty subsets encoded as bitmask ≥ 1
 	}
 	split := db.NewWithVocab(d.Voc)
-	for {
+	for splits := 1; ; splits++ {
+		if splits%splitPollEvery == 0 {
+			if err := b.Err(); err != nil {
+				budget.Trip(err)
+			}
+		}
 		// Build the split program: definite clauses + chosen heads.
 		split.Clauses = split.Clauses[:0]
 		split.Clauses = append(split.Clauses, definite...)

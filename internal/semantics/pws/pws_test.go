@@ -1,14 +1,21 @@
 package pws
 
 import (
+	"context"
+	"errors"
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
+	"time"
 
+	"disjunct/internal/budget"
 	"disjunct/internal/core"
 	"disjunct/internal/db"
 	"disjunct/internal/dbtest"
 	"disjunct/internal/gen"
 	"disjunct/internal/logic"
+	"disjunct/internal/oracle"
 	"disjunct/internal/refsem"
 )
 
@@ -194,5 +201,32 @@ func randomFormula(rng *rand.Rand, n, depth int) *logic.Formula {
 		return logic.Or(l, r)
 	default:
 		return logic.Implies(l, r)
+	}
+}
+
+// TestSplitEnumerationHonorsDeadline: the split odometer issues no
+// oracle call, so only its own budget poll can stop it. A literal query
+// over 3¹³ ≈ 1.6·10⁶ split programs that must visit every one of them
+// (z holds in every possible model) returns the typed deadline cause
+// long before the enumeration could finish.
+func TestSplitEnumerationHonorsDeadline(t *testing.T) {
+	var b strings.Builder
+	for i := 0; i < 13; i++ {
+		fmt.Fprintf(&b, "x%d | y%d. ", i, i)
+	}
+	b.WriteString("z.")
+	d := dbtest.MustParse(b.String())
+	o := oracle.NewNP().WithBudget(budget.New(context.Background(), budget.Limits{Deadline: 5 * time.Millisecond}))
+	s := New(core.Options{Oracle: o})
+	z, _ := d.Voc.Lookup("z")
+
+	start := time.Now()
+	_, err := s.InferLiteral(d, logic.PosLit(z))
+	elapsed := time.Since(start)
+	if !errors.Is(err, budget.ErrDeadline) {
+		t.Fatalf("InferLiteral err = %v, want %v", err, budget.ErrDeadline)
+	}
+	if elapsed > time.Second {
+		t.Fatalf("deadline of 5ms honoured only after %v", elapsed)
 	}
 }

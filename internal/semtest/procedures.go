@@ -1,3 +1,7 @@
+// Package semtest provides the shared verdict-identity harnesses used
+// by the session and planner tests: every route the serving stack can
+// take — fragment fast path, warm session, brute refsem construction —
+// must answer exactly as the fresh semantics engines do.
 package semtest
 
 import (

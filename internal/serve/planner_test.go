@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
-	"strings"
 	"testing"
 
 	"disjunct/internal/keyspace"
@@ -25,7 +24,7 @@ func newPlannerServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 
 // TestPlannerVerdictIdentityAndPaths drives one query through every
 // procedure the planner routes between — fast path, warm session,
-// portfolio race, brute, and fresh — and checks each served verdict
+// brute, and fresh — and checks each served verdict
 // against the direct library call. The planner must never move a
 // verdict, only the route that produces it.
 func TestPlannerVerdictIdentityAndPaths(t *testing.T) {
@@ -55,14 +54,14 @@ func TestPlannerVerdictIdentityAndPaths(t *testing.T) {
 	if qr := post1("GCWA", "a | b. b | c.", "-a"); qr.Path != "session" {
 		t.Errorf("disjunctive GCWA: path %q, want session", qr.Path)
 	}
-	// Cold tiny Σ₂ᵖ query outside the warm family: portfolio race.
-	if qr := post1("DSM", "a | b. b | c.", "-a"); !strings.HasPrefix(qr.Path, "portfolio:") {
-		t.Errorf("cold tiny DSM: path %q, want portfolio:*", qr.Path)
+	// Cold tiny Σ₂ᵖ query outside the warm family: brute, zero NP calls.
+	if qr := post1("DSM", "a | b. b | c.", "-a"); qr.Path != "brute" || qr.Counters.NPCalls != 0 {
+		t.Errorf("cold tiny DSM: path %q np=%d, want brute/0", qr.Path, qr.Counters.NPCalls)
 	}
-	// Calibrate the key expensive: the next decision routes brute.
+	// Calibrate the key expensive: the next decision routes brute again.
 	ests := srv.planner.Export()
 	if len(ests) == 0 {
-		t.Fatal("no estimate recorded after the portfolio query")
+		t.Fatal("no estimate recorded after the brute query")
 	}
 	var dsmRaw string
 	for _, e := range ests {
@@ -92,8 +91,7 @@ func TestPlannerVerdictIdentityAndPaths(t *testing.T) {
 	}
 	for _, key := range []string{
 		"decisions", "estimates_served", "estimate_entries", "observations",
-		"routed_fast", "routed_warm", "routed_fresh", "routed_brute", "routed_portfolio",
-		"portfolio_races", "portfolio_win_brute", "portfolio_win_fresh", "shed_cost",
+		"routed_fast", "routed_warm", "routed_fresh", "routed_brute", "shed_cost",
 	} {
 		if _, ok := h.Planner[key]; !ok {
 			t.Fatalf("healthz planner section missing %q: %v", key, h.Planner)
@@ -101,11 +99,11 @@ func TestPlannerVerdictIdentityAndPaths(t *testing.T) {
 	}
 	ps := h.Planner
 	if ps["routed_fast"] == 0 || ps["routed_warm"] == 0 || ps["routed_fresh"] == 0 ||
-		ps["routed_brute"] == 0 || ps["routed_portfolio"] == 0 {
+		ps["routed_brute"] == 0 {
 		t.Errorf("route coverage missing in planner stats: %v", ps)
 	}
-	if ps["portfolio_races"] == 0 || ps["portfolio_races"] != ps["portfolio_win_brute"]+ps["portfolio_win_fresh"] {
-		t.Errorf("portfolio winner histogram inconsistent: %v", ps)
+	if len(ps) != 9 {
+		t.Errorf("healthz planner section has %d keys, want 9: %v", len(ps), ps)
 	}
 	if _, ok := h.Stats["shed_cost"]; !ok {
 		t.Error("healthz stats missing shed_cost counter")
@@ -118,7 +116,8 @@ func TestPlannerVerdictIdentityAndPaths(t *testing.T) {
 }
 
 // TestPlannerCostShedTyped429 pins the cost-aware admission contract:
-// above the occupancy threshold an expensive (Σ₂ᵖ-class, cold) query
+// above the occupancy threshold an expensive (Σ₂ᵖ-class, cold, above
+// the brute cap) query
 // sheds with the typed shed_cost 429 before claiming a queue slot,
 // while fast-path and NP-class traffic keeps being admitted; below the
 // threshold nothing sheds.
@@ -130,7 +129,10 @@ func TestPlannerCostShedTyped429(t *testing.T) {
 	srv.adm.queued.Add(1)
 	defer srv.adm.queued.Add(-1)
 
-	status, body := post(t, ts, "/v1/infer/literal", QueryRequest{Semantics: "DSM", DB: "a | b. b | c.", Literal: "-a"})
+	// Ten atoms: above the brute cap, so no oracle-free route rescues
+	// the query from the expensive tier.
+	const wide = "a | b. c | d. e | f. g | h. i | j."
+	status, body := post(t, ts, "/v1/infer/literal", QueryRequest{Semantics: "DSM", DB: wide, Literal: "-a"})
 	if status != http.StatusTooManyRequests {
 		t.Fatalf("cold Σ₂ᵖ query under overload: status %d body %s, want 429", status, body)
 	}
@@ -152,7 +154,7 @@ func TestPlannerCostShedTyped429(t *testing.T) {
 
 	// Below the threshold the same expensive query is admitted.
 	srv.adm.queued.Add(-1)
-	status, body = post(t, ts, "/v1/infer/literal", QueryRequest{Semantics: "DSM", DB: "a | b. b | c.", Literal: "-a"})
+	status, body = post(t, ts, "/v1/infer/literal", QueryRequest{Semantics: "DSM", DB: wide, Literal: "-a"})
 	srv.adm.queued.Add(1) // restore for the deferred release
 	if status != http.StatusOK {
 		t.Fatalf("Σ₂ᵖ query below occupancy threshold: status %d body %s", status, body)

@@ -3,7 +3,7 @@
 // pipeline of internal/serve:
 //
 //  1. A compiled-DB artifact cache: grounding, CNF construction,
-//     canonical keying, and fragment classification are computed once
+//     fingerprinting, and fragment classification are computed once
 //     per distinct database text and shared by every later request
 //     (sharded, goroutine-safe, byte-accounted LRU).
 //  2. A fragment-aware fast path: databases the compiler classifies as
@@ -86,9 +86,6 @@ type Compiled struct {
 	// Raw means the indexed CNF is byte-identical, so verdicts and
 	// variable maps transfer between requests verbatim.
 	Raw string
-	// Key is the canonical isomorphism-class key (PR 2 interner); used
-	// for stats and cross-text dedup reporting, not for verdict reuse.
-	Key cache.Key
 	// HasNeg / HasIC are the applicability features of the database.
 	HasNeg bool
 	HasIC  bool
@@ -112,22 +109,6 @@ type Compiled struct {
 // text is only used for size accounting; the Manager keys artifacts by
 // it).
 func Compile(text string, d *db.DB) *Compiled {
-	return compile(text, d, "", false)
-}
-
-// CompileWithKey builds the artifact reusing a canonical key persisted
-// by a previous process, skipping the canonical labeling — the only
-// super-polynomial-in-practice step of compilation. The caller (the
-// store prewarm path) guarantees the key was computed from the same
-// database text; everything else (grounding, fingerprint, fragment
-// classification, fixpoint models) is re-derived here, so a stale or
-// even wrong key can never change a verdict — it only mis-reports
-// cross-text dedup stats.
-func CompileWithKey(text string, d *db.DB, key cache.Key) *Compiled {
-	return compile(text, d, key, true)
-}
-
-func compile(text string, d *db.DB, key cache.Key, haveKey bool) *Compiled {
 	cnf := d.ToCNF()
 	n := d.N()
 	c := &Compiled{
@@ -139,13 +120,8 @@ func compile(text string, d *db.DB, key cache.Key, haveKey bool) *Compiled {
 		HasIC:      d.HasIntegrityClauses(),
 		Consistent: true,
 	}
-	if haveKey {
-		c.Key = key
-	} else {
-		c.Key = cache.Canonicalize(n, cnf).Key
-	}
 	c.classify()
-	bytes := int64(len(text)) + int64(len(c.Raw)) + int64(len(c.Key)) + 256
+	bytes := int64(len(text)) + int64(len(c.Raw)) + 256
 	for _, cl := range cnf {
 		bytes += 8 + 4*int64(len(cl))
 	}

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"disjunct/internal/budget"
-	"disjunct/internal/cache"
 	"disjunct/internal/db"
 	"disjunct/internal/logic"
 	"disjunct/internal/models"
@@ -71,11 +70,9 @@ type Config struct {
 	// same-DB queries arriving within it execute back-to-back on one
 	// checked-out engine (default 2ms).
 	BatchWindow time.Duration
-	// Store is the optional disk-backed tier: compile misses fall
-	// through to it (reusing the persisted canonical key instead of
-	// re-canonicalizing), fresh compiles and completed warm verdicts are
-	// written behind, and Prewarm loads it wholesale. Nil disables
-	// persistence.
+	// Store is the optional disk-backed tier: fresh compiles and
+	// completed warm verdicts are written behind, and Prewarm loads it
+	// wholesale. Nil disables persistence.
 	Store *store.Store
 }
 
@@ -116,8 +113,8 @@ type Stats struct {
 	Sessions          int64 // gauge: warm sessions resident
 
 	// Store-tier counters (all zero when no store is configured).
-	ColdCompiles       int64 // compiles that ran full canonical labeling
-	StoreArtifactHits  int64 // compile misses answered by the store's key
+	ColdCompiles       int64 // compiles of a text the store did not hold
+	StoreArtifactHits  int64 // compile misses of a text the store held
 	PrewarmedArtifacts int64 // artifacts loaded wholesale by Prewarm
 	StoreVerdictSeeds  int64 // memo entries seeded from persisted verdicts
 }
@@ -279,29 +276,22 @@ func (m *Manager) insert(text string, comp *Compiled) *Compiled {
 	return comp
 }
 
-// compileFor compiles a database text, falling through to the store on
-// a cache miss: a persisted artifact for the exact text supplies the
-// canonical key, skipping the expensive labeling (a "warm" compile).
-// Cold compiles are written behind so the next process skips them.
+// compileFor compiles a database text on an artifact-cache miss. A
+// text the store already holds counts as a store hit; any other text
+// is a cold compile and is written behind, so the next process
+// prewarms it. A persisted record whose fragment disagrees with the
+// re-derived one predates a compiler change: it counts as cold and is
+// repaired.
 func (m *Manager) compileFor(text string, d *db.DB) *Compiled {
-	if st := m.cfg.Store; st != nil {
-		if a, ok := st.Artifact(text); ok {
-			comp := CompileWithKey(text, d, cache.Key(a.Key))
-			// The fragment is re-derived; agreement with the persisted
-			// record cross-checks that the text→key binding is current. A
-			// mismatch means the record predates a compiler change — fall
-			// through to a cold compile and repair the store.
-			if uint8(comp.Frag) == a.Frag {
-				m.storeArtifactHits.Add(1)
-				return comp
-			}
-		}
-	}
-	m.coldCompiles.Add(1)
 	comp := Compile(text, d)
 	if st := m.cfg.Store; st != nil {
-		st.PutArtifact(store.Artifact{Text: text, Key: string(comp.Key), Frag: uint8(comp.Frag)})
+		if a, ok := st.Artifact(text); ok && a.Frag == uint8(comp.Frag) {
+			m.storeArtifactHits.Add(1)
+			return comp
+		}
+		st.PutArtifact(store.Artifact{Text: text, Frag: uint8(comp.Frag)})
 	}
+	m.coldCompiles.Add(1)
 	return comp
 }
 

@@ -185,7 +185,7 @@ func TestStoreFragMismatchRecompiles(t *testing.T) {
 	dir := t.TempDir()
 	s1 := openStore(t, dir)
 	// A forged record: definite text recorded as general.
-	s1.PutArtifact(store.Artifact{Text: definiteDB, Key: "bogus", Frag: uint8(FragGeneral)})
+	s1.PutArtifact(store.Artifact{Text: definiteDB, Frag: uint8(FragGeneral)})
 	s1.Flush()
 
 	m := NewManager(Config{Store: s1})
@@ -201,7 +201,7 @@ func TestStoreFragMismatchRecompiles(t *testing.T) {
 		t.Fatalf("forged record was trusted: %+v", st)
 	}
 	s1.Flush()
-	if a, ok := s1.Artifact(definiteDB); !ok || a.Key == "bogus" {
+	if a, ok := s1.Artifact(definiteDB); !ok || a.Frag != uint8(FragDefinite) {
 		t.Fatalf("store not repaired after cold recompile: %+v ok=%v", a, ok)
 	}
 	s1.Close()
@@ -214,20 +214,15 @@ func TestPrewarmWithoutStore(t *testing.T) {
 	}
 }
 
-// TestCompileWithKeyVerdictIdentity asserts a compile that skips
-// canonical labeling produces an artifact whose fast-path and warm
-// verdicts match the full compile (the key only affects stats).
-func TestCompileWithKeyVerdictIdentity(t *testing.T) {
+// TestRecompileIdentity asserts that recompiling a text from a fresh
+// parse — what Prewarm and handoff Import do with persisted or shipped
+// texts — yields the artifact the first compile produced.
+func TestRecompileIdentity(t *testing.T) {
 	for _, text := range []string{generalDB, definiteDB, "s :- not t. t :- not u.\n"} {
-		d1 := mustParse(t, text)
-		d2 := mustParse(t, text)
-		full := Compile(text, d1)
-		keyed := CompileWithKey(text, d2, full.Key)
-		if keyed.Frag != full.Frag || keyed.Raw != full.Raw || keyed.Consistent != full.Consistent {
-			t.Fatalf("%q: keyed artifact diverges: frag %v/%v raw equal=%v", text, keyed.Frag, full.Frag, keyed.Raw == full.Raw)
-		}
-		if keyed.Key != full.Key {
-			t.Fatalf("%q: key not adopted", text)
+		first := Compile(text, mustParse(t, text))
+		again := Compile(text, mustParse(t, text))
+		if again.Frag != first.Frag || again.Raw != first.Raw || again.Consistent != first.Consistent || again.Bytes != first.Bytes {
+			t.Fatalf("%q: recompiled artifact diverges: frag %v/%v raw equal=%v", text, again.Frag, first.Frag, again.Raw == first.Raw)
 		}
 	}
 }

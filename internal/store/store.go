@@ -1,9 +1,8 @@
 // Package store is the crash-safe, disk-backed tier beneath the
-// in-memory caches: it persists compiled-database artifacts (the
-// session layer's parse/ground/canonical-key work), the CNF interner's
-// canonical verdict entries, and completed warm-session verdict memos,
-// so a restarted process pre-warms from disk instead of recompiling
-// and re-solving — every deploy becomes an artifact load rather than a
+// in-memory caches: it persists the texts of compiled databases,
+// completed warm-session verdict memos and the planner's cost
+// estimates, so a restarted process pre-warms from disk instead of
+// re-solving — every deploy becomes an artifact load rather than a
 // cold-start stampede.
 //
 // # Format and atomicity
@@ -33,14 +32,21 @@
 //
 // # Keys
 //
-// Artifacts are keyed by exact database text; the payload carries the
-// canonical isomorphism-class key (the renaming-invariant fingerprint
-// of PR 2/5) so a reload can skip the expensive canonical labeling.
-// Verdict memos are keyed by the session key (the exact CNF
-// fingerprint Raw, the semantics name, and the memo key): equal Raw
+// Artifacts are keyed by exact database text. Verdict memos and
+// estimates are keyed by the session key (the exact CNF fingerprint
+// Raw, the semantics name, and for verdicts the memo key): equal Raw
 // means the indexed CNF is byte-identical, so verdicts transfer
-// between processes verbatim. Interner entries are keyed by the
-// canonical class key, exactly as in the in-memory LRU.
+// between processes verbatim.
+//
+// # Retired fields
+//
+// Artifact records keep a second string slot that once carried a
+// canonical isomorphism-class key; it is written empty and ignored on
+// read. Record type 3 once carried CNF-interner entries; such records
+// are still decoded (so they never end recovery as a torn tail) and
+// then dropped, and compaction therefore removes them. Both
+// directions stay readable: an older reader accepts the empty slot,
+// and this reader accepts an older log.
 package store
 
 import (
@@ -66,18 +72,16 @@ const (
 const (
 	recArtifact byte = 1
 	recVerdict  byte = 2
-	recIntern   byte = 3
+	recIntern   byte = 3 // retired: decoded and dropped
 	recEstimate byte = 4
 )
 
 // Artifact is one persisted compiled-database artifact: the exact
-// database text plus the canonical isomorphism-class key, which is the
-// expensive part of compilation (the nauty-style labeling). Everything
-// else in a session.Compiled (grounding, fragment classification,
-// fixpoint models) is re-derived polynomially from Text on load.
+// database text. Everything in a session.Compiled (grounding,
+// fingerprint, fragment classification, fixpoint models) is re-derived
+// polynomially from Text on load.
 type Artifact struct {
 	Text string // exact database text (the compile-cache key)
-	Key  string // canonical class key (skips re-canonicalization)
 	Frag uint8  // fragment classification recorded for cross-checking
 }
 
@@ -87,17 +91,6 @@ type Verdict struct {
 	Sem     string // semantics name
 	MemoKey string // kind-qualified query text (the memo map key)
 	Holds   bool
-}
-
-// Intern is one persisted CNF-interner entry: the canonical class key,
-// the SAT verdict, the exact fingerprint of the producing query, and
-// the witness model (nil for UNSAT) encoded as the universe size
-// followed by delta-encoded set-bit indices.
-type Intern struct {
-	Key   string
-	Sat   bool
-	Raw   string
-	Model []byte // nil when no witness; opaque to the store
 }
 
 // Estimate is one persisted cost-model entry of the query planner: the
@@ -127,7 +120,6 @@ type Config struct {
 type Recovery struct {
 	Artifacts int   // artifact records loaded
 	Verdicts  int   // verdict records loaded
-	Interns   int   // interner records loaded
 	Estimates int   // planner cost-estimate records loaded
 	TornTail  bool  // the log ended in an invalid record
 	Dropped   int64 // bytes truncated from the torn tail
@@ -137,7 +129,6 @@ type Recovery struct {
 type Stats struct {
 	Artifacts      int64 // live artifact entries
 	Verdicts       int64 // live verdict entries
-	Interns        int64 // live interner entries
 	Estimates      int64 // live planner cost-estimate entries
 	QueuedWrites   int64 // records enqueued since open
 	FlushedWrites  int64 // records written+synced
@@ -163,8 +154,7 @@ type Store struct {
 	size      int64
 	artifacts map[string]Artifact
 	verdicts  map[string]map[string]bool // raw\x00sem → memoKey → holds
-	interns   map[string]Intern
-	estimates map[string]Estimate // raw\x00sem → latest sums
+	estimates map[string]Estimate        // raw\x00sem → latest sums
 	pending   []pendingRec
 	closed    bool
 
@@ -205,7 +195,6 @@ func Open(cfg Config) (*Store, Recovery, error) {
 		cfg:       cfg,
 		artifacts: map[string]Artifact{},
 		verdicts:  map[string]map[string]bool{},
-		interns:   map[string]Intern{},
 		estimates: map[string]Estimate{},
 		wake:      make(chan struct{}, 1),
 		done:      make(chan struct{}),
@@ -288,7 +277,6 @@ func (s *Store) recover() error {
 	}
 	s.f, s.size = f, valid
 	s.recovery.Artifacts = len(s.artifacts)
-	s.recovery.Interns = len(s.interns)
 	s.recovery.Estimates = len(s.estimates)
 	for _, m := range s.verdicts {
 		s.recovery.Verdicts += len(m)
@@ -330,12 +318,13 @@ func (s *Store) apply(typ byte, payload []byte) bool {
 	d := decoder{b: payload}
 	switch typ {
 	case recArtifact:
-		text, key := d.str(), d.str()
+		text := d.str()
+		d.str() // retired key slot
 		frag := d.byte()
 		if d.bad || !d.done() {
 			return false
 		}
-		s.artifacts[text] = Artifact{Text: text, Key: key, Frag: frag}
+		s.artifacts[text] = Artifact{Text: text, Frag: frag}
 	case recVerdict:
 		raw, sem, memoKey := d.str(), d.str(), d.str()
 		holds := d.byte()
@@ -350,14 +339,15 @@ func (s *Store) apply(typ byte, payload []byte) bool {
 		}
 		m[memoKey] = holds == 1
 	case recIntern:
-		key := d.str()
+		// Retired record type: validate its layout (key, sat flag, raw
+		// fingerprint, optional witness) and drop it.
+		d.str()
 		sat := d.byte()
-		raw := d.str()
-		model := d.bytes()
+		d.str()
+		d.bytes()
 		if d.bad || !d.done() || sat > 1 {
 			return false
 		}
-		s.interns[key] = Intern{Key: key, Sat: sat == 1, Raw: raw, Model: model}
 	case recEstimate:
 		raw, sem := d.str(), d.str()
 		count, np, confl, micros := d.u64(), d.u64(), d.u64(), d.u64()
@@ -454,17 +444,6 @@ func (s *Store) Estimates() []Estimate {
 	return out
 }
 
-// Interns snapshots every live interner entry.
-func (s *Store) Interns() []Intern {
-	s.mu.Lock()
-	out := make([]Intern, 0, len(s.interns))
-	for _, e := range s.interns {
-		out = append(out, e)
-	}
-	s.mu.Unlock()
-	return out
-}
-
 // ---- writes (write-behind) ----
 
 // PutArtifact enqueues an artifact; an identical live entry is skipped
@@ -480,11 +459,7 @@ func (s *Store) PutArtifact(a Artifact) {
 		return
 	}
 	s.artifacts[a.Text] = a
-	var e encoder
-	e.str(a.Text)
-	e.str(a.Key)
-	e.byte(a.Frag)
-	s.enqueue(recArtifact, e.b)
+	s.enqueue(recArtifact, encodeArtifact(a))
 	s.mu.Unlock()
 }
 
@@ -512,27 +487,6 @@ func (s *Store) PutVerdict(v Verdict) {
 	e.str(v.MemoKey)
 	e.bool(v.Holds)
 	s.enqueue(recVerdict, e.b)
-	s.mu.Unlock()
-}
-
-// PutIntern enqueues an interner entry.
-func (s *Store) PutIntern(in Intern) {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return
-	}
-	if cur, ok := s.interns[in.Key]; ok && cur.Sat == in.Sat && cur.Raw == in.Raw {
-		s.mu.Unlock()
-		return
-	}
-	s.interns[in.Key] = in
-	var e encoder
-	e.str(in.Key)
-	e.bool(in.Sat)
-	e.str(in.Raw)
-	e.bytes(in.Model)
-	s.enqueue(recIntern, e.b)
 	s.mu.Unlock()
 }
 
@@ -661,11 +615,7 @@ func (s *Store) maybeCompact() {
 		buf = append(buf, payload...)
 	}
 	for _, a := range s.artifacts {
-		var e encoder
-		e.str(a.Text)
-		e.str(a.Key)
-		e.byte(a.Frag)
-		appendRec(recArtifact, e.b)
+		appendRec(recArtifact, encodeArtifact(a))
 	}
 	for vk, m := range s.verdicts {
 		raw, sem := splitKey(vk)
@@ -677,14 +627,6 @@ func (s *Store) maybeCompact() {
 			e.bool(holds)
 			appendRec(recVerdict, e.b)
 		}
-	}
-	for _, in := range s.interns {
-		var e encoder
-		e.str(in.Key)
-		e.bool(in.Sat)
-		e.str(in.Raw)
-		e.bytes(in.Model)
-		appendRec(recIntern, e.b)
 	}
 	for _, est := range s.estimates {
 		var e encoder
@@ -793,7 +735,6 @@ func (s *Store) Stats() Stats {
 	st := Stats{
 		Artifacts:      int64(len(s.artifacts)),
 		Verdicts:       verdicts,
-		Interns:        int64(len(s.interns)),
 		Estimates:      int64(len(s.estimates)),
 		QueuedWrites:   s.queued,
 		FlushedWrites:  s.flushed,
@@ -820,21 +761,21 @@ func splitKey(vk string) (raw, sem string) {
 
 // ---- payload encoding ----
 
+// encodeArtifact lays out an artifact record: text, the retired key
+// slot (always empty), fragment.
+func encodeArtifact(a Artifact) []byte {
+	var e encoder
+	e.str(a.Text)
+	e.str("")
+	e.byte(a.Frag)
+	return e.b
+}
+
 type encoder struct{ b []byte }
 
 func (e *encoder) str(s string) {
 	e.b = binary.AppendUvarint(e.b, uint64(len(s)))
 	e.b = append(e.b, s...)
-}
-
-func (e *encoder) bytes(b []byte) {
-	if b == nil {
-		e.b = append(e.b, 0)
-		return
-	}
-	e.b = append(e.b, 1)
-	e.b = binary.AppendUvarint(e.b, uint64(len(b)))
-	e.b = append(e.b, b...)
 }
 
 func (e *encoder) byte(v uint8) { e.b = append(e.b, v) }

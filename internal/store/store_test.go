@@ -1,7 +1,6 @@
 package store
 
 import (
-	"bytes"
 	"os"
 	"path/filepath"
 	"testing"
@@ -19,16 +18,14 @@ func openT(t *testing.T, dir string) (*Store, Recovery) {
 func seedStore(t *testing.T, dir string) {
 	t.Helper()
 	s, rec := openT(t, dir)
-	if rec.TornTail || rec.Artifacts != 0 || rec.Verdicts != 0 || rec.Interns != 0 {
+	if rec.TornTail || rec.Artifacts != 0 || rec.Verdicts != 0 {
 		t.Fatalf("fresh store reported recovery %+v", rec)
 	}
-	s.PutArtifact(Artifact{Text: "a | b.\n", Key: "K1", Frag: 2})
-	s.PutArtifact(Artifact{Text: "p. q :- p.\n", Key: "K2", Frag: 1})
+	s.PutArtifact(Artifact{Text: "a | b.\n", Frag: 2})
+	s.PutArtifact(Artifact{Text: "p. q :- p.\n", Frag: 1})
 	s.PutVerdict(Verdict{Raw: "R1", Sem: "GCWA", MemoKey: "literal|a", Holds: true})
 	s.PutVerdict(Verdict{Raw: "R1", Sem: "GCWA", MemoKey: "literal|b", Holds: false})
 	s.PutVerdict(Verdict{Raw: "R2", Sem: "CIRC", MemoKey: "formula|a & b", Holds: true})
-	s.PutIntern(Intern{Key: "CK1", Sat: true, Raw: "RAW1", Model: []byte{3, 1, 0, 2}})
-	s.PutIntern(Intern{Key: "CK2", Sat: false, Raw: "RAW2"})
 	if err := s.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
@@ -37,10 +34,10 @@ func seedStore(t *testing.T, dir string) {
 func checkSeeded(t *testing.T, s *Store) {
 	t.Helper()
 	a, ok := s.Artifact("a | b.\n")
-	if !ok || a.Key != "K1" || a.Frag != 2 {
+	if !ok || a.Frag != 2 {
 		t.Fatalf("artifact 1 = %+v ok=%v", a, ok)
 	}
-	if a, ok := s.Artifact("p. q :- p.\n"); !ok || a.Key != "K2" {
+	if a, ok := s.Artifact("p. q :- p.\n"); !ok || a.Frag != 1 {
 		t.Fatalf("artifact 2 = %+v ok=%v", a, ok)
 	}
 	m := s.Verdicts("R1", "GCWA")
@@ -53,20 +50,6 @@ func checkSeeded(t *testing.T, s *Store) {
 	if m := s.Verdicts("R1", "CCWA"); m != nil {
 		t.Fatalf("unexpected verdicts for unknown sem: %v", m)
 	}
-	ins := s.Interns()
-	if len(ins) != 2 {
-		t.Fatalf("interns = %v", ins)
-	}
-	byKey := map[string]Intern{}
-	for _, in := range ins {
-		byKey[in.Key] = in
-	}
-	if in := byKey["CK1"]; !in.Sat || in.Raw != "RAW1" || !bytes.Equal(in.Model, []byte{3, 1, 0, 2}) {
-		t.Fatalf("intern CK1 = %+v", in)
-	}
-	if in := byKey["CK2"]; in.Sat || in.Raw != "RAW2" || in.Model != nil {
-		t.Fatalf("intern CK2 = %+v", in)
-	}
 }
 
 func TestRoundTrip(t *testing.T) {
@@ -77,7 +60,7 @@ func TestRoundTrip(t *testing.T) {
 	if rec.TornTail || rec.Dropped != 0 {
 		t.Fatalf("clean reopen reported torn tail: %+v", rec)
 	}
-	if rec.Artifacts != 2 || rec.Verdicts != 3 || rec.Interns != 2 {
+	if rec.Artifacts != 2 || rec.Verdicts != 3 {
 		t.Fatalf("recovery counts = %+v", rec)
 	}
 	checkSeeded(t, s)
@@ -86,8 +69,8 @@ func TestRoundTrip(t *testing.T) {
 func TestLaterRecordWins(t *testing.T) {
 	dir := t.TempDir()
 	s, _ := openT(t, dir)
-	s.PutArtifact(Artifact{Text: "a.", Key: "OLD"})
-	s.PutArtifact(Artifact{Text: "a.", Key: "NEW", Frag: 3})
+	s.PutArtifact(Artifact{Text: "a."})
+	s.PutArtifact(Artifact{Text: "a.", Frag: 3})
 	s.PutVerdict(Verdict{Raw: "R", Sem: "GCWA", MemoKey: "q", Holds: false})
 	s.PutVerdict(Verdict{Raw: "R", Sem: "GCWA", MemoKey: "q", Holds: true})
 	if err := s.Close(); err != nil {
@@ -95,7 +78,7 @@ func TestLaterRecordWins(t *testing.T) {
 	}
 	s2, _ := openT(t, dir)
 	defer s2.Close()
-	if a, _ := s2.Artifact("a."); a.Key != "NEW" || a.Frag != 3 {
+	if a, _ := s2.Artifact("a."); a.Frag != 3 {
 		t.Fatalf("artifact after reload = %+v (want later record)", a)
 	}
 	if m := s2.Verdicts("R", "GCWA"); !m["q"] {
@@ -108,13 +91,12 @@ func TestDedupIdenticalPuts(t *testing.T) {
 	s, _ := openT(t, dir)
 	defer s.Close()
 	for i := 0; i < 100; i++ {
-		s.PutArtifact(Artifact{Text: "a.", Key: "K"})
+		s.PutArtifact(Artifact{Text: "a."})
 		s.PutVerdict(Verdict{Raw: "R", Sem: "GCWA", MemoKey: "q", Holds: true})
-		s.PutIntern(Intern{Key: "CK", Sat: true, Raw: "RAW"})
 	}
 	st := s.Stats()
-	if st.QueuedWrites != 3 {
-		t.Fatalf("identical puts queued %d writes, want 3", st.QueuedWrites)
+	if st.QueuedWrites != 2 {
+		t.Fatalf("identical puts queued %d writes, want 2", st.QueuedWrites)
 	}
 }
 
@@ -140,26 +122,21 @@ func TestTruncateEveryOffset(t *testing.T) {
 		if err != nil {
 			t.Fatalf("cut=%d: Open error: %v", cut, err)
 		}
-		total := rec.Artifacts + rec.Verdicts + rec.Interns
-		if cut < full && !rec.TornTail && total != 7 && cut > len(magic) {
+		total := rec.Artifacts + rec.Verdicts
+		if cut < full && !rec.TornTail && total != 5 && cut > len(magic) {
 			// A cut strictly inside a record must be reported torn
 			// unless it landed exactly on a record boundary.
 			if rec.Dropped != 0 {
 				t.Fatalf("cut=%d: dropped %d but no torn flag", cut, rec.Dropped)
 			}
 		}
-		if cut == full && (rec.TornTail || total != 7) {
+		if cut == full && (rec.TornTail || total != 5) {
 			t.Fatalf("uncut log reported %+v", rec)
 		}
 		// Each loaded artifact must be one we actually wrote.
 		for _, a := range s.Artifacts() {
-			if !(a.Key == "K1" || a.Key == "K2") {
+			if !(a == Artifact{Text: "a | b.\n", Frag: 2} || a == Artifact{Text: "p. q :- p.\n", Frag: 1}) {
 				t.Fatalf("cut=%d: corrupt artifact served: %+v", cut, a)
-			}
-		}
-		for _, in := range s.Interns() {
-			if !(in.Key == "CK1" || in.Key == "CK2") {
-				t.Fatalf("cut=%d: corrupt intern served: %+v", cut, in)
 			}
 		}
 		if total < prevTotal && cut > 0 {
@@ -169,7 +146,7 @@ func TestTruncateEveryOffset(t *testing.T) {
 		prevTotal = total
 		// The store must be writable after recovery: dropped entries
 		// are re-derived and re-persisted by the caller.
-		s.PutArtifact(Artifact{Text: "re.", Key: "K1"})
+		s.PutArtifact(Artifact{Text: "re."})
 		s.Flush()
 		if err := s.Close(); err != nil {
 			t.Fatalf("cut=%d: Close: %v", cut, err)
@@ -211,8 +188,8 @@ func TestCorruptEveryOffset(t *testing.T) {
 			t.Fatalf("off=%d: Open error: %v", off, err)
 		}
 		for _, a := range s.Artifacts() {
-			if !(a == Artifact{Text: "a | b.\n", Key: "K1", Frag: 2} ||
-				a == Artifact{Text: "p. q :- p.\n", Key: "K2", Frag: 1}) {
+			if !(a == Artifact{Text: "a | b.\n", Frag: 2} ||
+				a == Artifact{Text: "p. q :- p.\n", Frag: 1}) {
 				t.Fatalf("off=%d: corrupt artifact served: %+v", off, a)
 			}
 		}
@@ -221,13 +198,6 @@ func TestCorruptEveryOffset(t *testing.T) {
 				if want, ok := wantVerdicts[raw+"\x00"+sem][k]; !ok || want != v {
 					t.Fatalf("off=%d: corrupt verdict served: %s/%s %q=%v", off, raw, sem, k, v)
 				}
-			}
-		}
-		for _, in := range s.Interns() {
-			okCK1 := in.Key == "CK1" && in.Sat && in.Raw == "RAW1" && bytes.Equal(in.Model, []byte{3, 1, 0, 2})
-			okCK2 := in.Key == "CK2" && !in.Sat && in.Raw == "RAW2" && in.Model == nil
-			if !okCK1 && !okCK2 {
-				t.Fatalf("off=%d: corrupt intern served: %+v", off, in)
 			}
 		}
 		s.Close()
@@ -244,7 +214,7 @@ func TestCompaction(t *testing.T) {
 	// tiny while the log grows past budget, forcing compaction.
 	for i := 0; i < 2000; i++ {
 		s.PutVerdict(Verdict{Raw: "R", Sem: "GCWA", MemoKey: "q", Holds: i%2 == 0})
-		s.PutArtifact(Artifact{Text: "a.", Key: "K", Frag: uint8(i % 2)})
+		s.PutArtifact(Artifact{Text: "a.", Frag: uint8(i % 2)})
 	}
 	s.Flush()
 	st := s.Stats()
@@ -294,7 +264,7 @@ func TestCloseStopsFlusherAndDropsLatePuts(t *testing.T) {
 	if st := s.Stats(); !st.FlusherRunning {
 		t.Fatal("flusher not running after Open")
 	}
-	s.PutArtifact(Artifact{Text: "a.", Key: "K"})
+	s.PutArtifact(Artifact{Text: "a."})
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -332,10 +302,10 @@ func TestForeignFileStartsFresh(t *testing.T) {
 	if !rec.TornTail || rec.Dropped == 0 {
 		t.Fatalf("foreign file not reported as dropped: %+v", rec)
 	}
-	if rec.Artifacts+rec.Verdicts+rec.Interns != 0 {
+	if rec.Artifacts+rec.Verdicts != 0 {
 		t.Fatalf("foreign file yielded entries: %+v", rec)
 	}
-	s.PutArtifact(Artifact{Text: "a.", Key: "K"})
+	s.PutArtifact(Artifact{Text: "a."})
 	s.Flush()
 }
 
@@ -348,7 +318,7 @@ func TestConcurrentPuts(t *testing.T) {
 			defer func() { done <- struct{}{} }()
 			for i := 0; i < 200; i++ {
 				s.PutVerdict(Verdict{Raw: "R", Sem: "GCWA", MemoKey: string(rune('a'+g)) + "x", Holds: i%2 == 0})
-				s.PutArtifact(Artifact{Text: "t" + string(rune('a'+g)), Key: "K"})
+				s.PutArtifact(Artifact{Text: "t" + string(rune('a'+g))})
 				s.Verdicts("R", "GCWA")
 				s.Stats()
 			}
