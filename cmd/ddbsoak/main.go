@@ -29,15 +29,14 @@
 // session layer enabled, so the wire path exercises the warm routes.
 //
 // A random subset of iterations (-planfrac) is additionally replayed
-// through an in-process server with the cost-based planner enabled, so
-// the planner's routing (fast path, warm session, fresh enumeration,
-// brute refsem) carries real traffic: every completed verdict is
-// cross-checked against the brute-force references, interruptions
-// must carry typed causes, the first query of a cold tiny key the
-// planner sends to brute must be answered by brute, and after the soak
-// the /healthz planner section must be populated — decisions, cost
-// observations, served estimates, brute routes — proving the planner
-// actually planned rather than pass-through routing everything fresh.
+// through an in-process server with the cost classifier enabled, so
+// cost-aware admission and the routes behind it (fast path, warm
+// session, fresh enumeration) carry real traffic: every completed
+// verdict is cross-checked against the brute-force references,
+// interruptions must carry typed causes, every response must name one
+// of those routes, and after the soak the /healthz planner section
+// must be populated — decisions, cost observations, served estimates —
+// proving the planner actually classified and calibrated.
 //
 // Setting -churnfrac runs a membership-churn sweep after the soak: a
 // verified load through an in-process cluster while a seeded churn plan
@@ -75,7 +74,6 @@ import (
 	"disjunct/internal/logic"
 	"disjunct/internal/models"
 	"disjunct/internal/oracle"
-	"disjunct/internal/plan"
 	"disjunct/internal/refsem"
 	"disjunct/internal/serve"
 	"disjunct/internal/session"
@@ -95,7 +93,7 @@ func main() {
 	serveFrac := flag.Float64("servefrac", 0, "fraction of iterations replayed through an in-process HTTP server (0 = off)")
 	batchFrac := flag.Float64("batchfrac", 0, "fraction of iterations additionally replayed through /v1/batch (0 = off; implies -servefrac machinery)")
 	sessionFrac := flag.Float64("sessionfrac", 0, "fraction of iterations replayed through a shared warm session manager (0 = off)")
-	planFrac := flag.Float64("planfrac", 0, "fraction of iterations replayed through an in-process server with the cost-based planner enabled, cross-checking planner-routed verdicts (fast/warm/fresh/brute) against the brute-force references and asserting the /healthz planner section is populated (0 = off)")
+	planFrac := flag.Float64("planfrac", 0, "fraction of iterations replayed through an in-process server with the cost classifier enabled, cross-checking served verdicts (fast/warm/fresh) against the brute-force references and asserting the /healthz planner section is populated (0 = off)")
 	storeDir := flag.String("storedir", "", "back the session manager with a persistent store at this directory and, after the soak, reopen it in a pre-warmed second manager that must replay every recorded verdict identically with zero cold compiles (enables the session checker if -sessionfrac is 0)")
 	clusterNodes := flag.Int("clusternodes", 0, "after the soak, run a verified load through an in-process N-worker cluster with seeded node chaos (kill/partition/slow of a seeded victim mid-load) and a graceful drain handoff; any divergent or untyped outcome fails the run (0 = off)")
 	clusterReqs := flag.Int("clusterreqs", 240, "requests per cluster sweep phase (with -clusternodes)")
@@ -559,32 +557,26 @@ func (sc *serveChecker) checkBatch(d *db.DB, rng *rand.Rand) bool {
 }
 
 // plannerChecker replays a subset of iterations through an in-process
-// server with the cost-based planner enabled, shared across all
+// server with the cost classifier enabled, shared across all
 // iterations so the estimator warms up: first sight of a (database,
-// semantics) key routes cold (brute for the tiny cases outside the
-// fast and warm routes, warm or fast otherwise), the repeat is served
-// from a calibrated estimate. Every completed verdict — whatever
-// procedure the planner picked — must match the brute-force
-// references, interruptions must carry typed causes, and a cold key
-// the planner sends to brute must come back on the brute path.
-// close() asserts the /healthz planner section is populated:
-// decisions, observations, served estimates, and brute routes
-// whenever a completed response reported the brute path.
+// semantics) key is classified cold, the repeat against a calibrated
+// estimate. Every completed verdict — whatever route served it — must
+// match the brute-force references, interruptions must carry typed
+// causes, and every response's path must be one the server has: the
+// fast path, a warm session, or fresh (empty). close() asserts the
+// /healthz planner section is populated: decisions, observations and
+// served estimates.
 type plannerChecker struct {
 	srv         *serve.Server
 	hs          *httptest.Server
-	bruteAtoms  int             // the server planner's brute instance bound
-	seen        map[string]bool // (fingerprint, semantics) keys already sent
 	queries     int
 	completed   int
 	interrupted int
-	brutes      int // completed responses served via the brute procedure
 }
 
 func newPlannerChecker(faultRate float64, faultSeed int64) *plannerChecker {
 	srv := serve.New(serve.Config{FaultRate: faultRate, FaultSeed: faultSeed, RetryMax: 2, Planner: true})
-	return &plannerChecker{srv: srv, hs: httptest.NewServer(srv.Handler()),
-		bruteAtoms: plan.New(plan.Config{}).BruteMaxAtoms(), seen: map[string]bool{}}
+	return &plannerChecker{srv: srv, hs: httptest.NewServer(srv.Handler())}
 }
 
 func (px *plannerChecker) check(d *db.DB, rng *rand.Rand) bool {
@@ -594,7 +586,6 @@ func (px *plannerChecker) check(d *db.DB, rng *rand.Rand) bool {
 	}
 	lit := logic.NegLit(logic.Atom(rng.Intn(rt.N())))
 	litText := rt.Voc.LitString(lit)
-	comp := session.Compile(rt.String(), rt)
 	ok := true
 
 	cases := []struct {
@@ -605,9 +596,9 @@ func (px *plannerChecker) check(d *db.DB, rng *rand.Rand) bool {
 	}{
 		{"GCWA", refsem.GCWA, false, false}, // warm-session route
 		{"EGCWA", refsem.EGCWA, false, false},
-		{"DDR", refsem.DDR, true, false}, // NP-class, brute-eligible
+		{"DDR", refsem.DDR, true, false}, // NP-class, fresh route
 		{"PWS", refsem.PWS, true, false},
-		{"DSM", refsem.DSM, false, false}, // Σ₂ᵖ-class, brute route when tiny
+		{"DSM", refsem.DSM, false, false}, // Σ₂ᵖ-class, fresh route
 		{"PERF", refsem.PERF, false, true},
 	}
 	for _, c := range cases {
@@ -618,14 +609,6 @@ func (px *plannerChecker) check(d *db.DB, rng *rand.Rand) bool {
 			continue
 		}
 		want := refsem.Entails(c.ref(rt), logic.LitF(lit))
-		// A cold key outside the fast and warm routes goes brute when the
-		// instance is tiny: no estimate exists yet to say it is cheap.
-		key := comp.Raw + "\x00" + c.sem
-		wantBrute := !px.seen[key] &&
-			plan.ClassOf(comp, c.sem, session.KindLiteral) != plan.ClassPoly &&
-			!session.WarmEligible(c.sem, session.KindLiteral) &&
-			plan.BruteEligible(comp, c.sem, px.bruteAtoms)
-		px.seen[key] = true
 		// Twice per case: the first request may route cold, the second
 		// must see the estimate the first one calibrated.
 		for rep := 0; rep < 2; rep++ {
@@ -660,11 +643,10 @@ func (px *plannerChecker) check(d *db.DB, rng *rand.Rand) bool {
 				continue
 			}
 			px.completed++
-			if qr.Path == "brute" {
-				px.brutes++
-			}
-			if rep == 0 && wantBrute && qr.Path != "brute" {
-				fmt.Printf("  planner %s ⊨ %s: cold tiny key served on path %q, want brute\n", c.sem, litText, qr.Path)
+			switch qr.Path {
+			case "fast", "session", "":
+			default:
+				fmt.Printf("  planner %s ⊨ %s: served on unknown path %q, want fast, session or fresh\n", c.sem, litText, qr.Path)
 				ok = false
 			}
 			if qr.Holds != want {
@@ -679,8 +661,7 @@ func (px *plannerChecker) check(d *db.DB, rng *rand.Rand) bool {
 
 // close drains the planner server and asserts its /healthz planner
 // section is populated — the planner must have decided, observed, and
-// served estimates, and routed to brute whenever a completed response
-// reported the brute path.
+// served estimates.
 func (px *plannerChecker) close() bool {
 	ok := true
 	ps := map[string]int64{}
@@ -712,15 +693,11 @@ func (px *plannerChecker) close() bool {
 			fmt.Println("  planner: no estimate ever served despite repeated keys")
 			ok = false
 		}
-		if px.brutes > 0 && ps["routed_brute"] == 0 {
-			fmt.Println("  planner: brute paths served but zero brute routes recorded")
-			ok = false
-		}
 	}
-	fmt.Printf("planner cross-check: %d queries, completed=%d interrupted=%d brute=%d "+
-		"(healthz: decisions=%d est_served=%d observations=%d routed_brute=%d shed_cost=%d)\n",
-		px.queries, px.completed, px.interrupted, px.brutes,
-		ps["decisions"], ps["estimates_served"], ps["observations"], ps["routed_brute"], ps["shed_cost"])
+	fmt.Printf("planner cross-check: %d queries, completed=%d interrupted=%d "+
+		"(healthz: decisions=%d est_served=%d observations=%d shed_cost=%d)\n",
+		px.queries, px.completed, px.interrupted,
+		ps["decisions"], ps["estimates_served"], ps["observations"], ps["shed_cost"])
 	return ok
 }
 

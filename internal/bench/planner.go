@@ -19,16 +19,15 @@ import (
 
 // PlannerCase is one (instance family × semantics) planner-off vs
 // planner-on comparison. The planner-off leg answers every query with
-// a fresh engine; the planner-on leg routes each query through the
-// serve layer's procedure ladder — warm session (fast paths and warm
-// engines), brute refsem for tiny instances that are cold or that the
-// cost model reads as expensive, and the fresh path otherwise.
-// runPlannerSweep asserts that routing never moves a verdict and that
-// fast-path and brute answers consume zero oracle calls. The
-// planner-on total is reported but not bounded: a cold warm-engine pass may
-// legitimately spend a few more oracle calls than fresh engines before
-// memoization pays it back. Wall-clock is reported, never gated; the
-// planner-off NP total is the deterministic counter benchgate pins.
+// a fresh engine; the planner-on leg classifies each query and takes
+// the serve layer's route — warm session (fast paths and warm
+// engines) first, the fresh path otherwise. runPlannerSweep asserts
+// that routing never moves a verdict and that fast-path answers
+// consume zero oracle calls. The planner-on total is reported but not
+// bounded: a cold warm-engine pass may legitimately spend a few more
+// oracle calls than fresh engines before memoization pays it back.
+// Wall-clock is reported, never gated; the planner-off NP total is the
+// deterministic counter benchgate pins.
 type PlannerCase struct {
 	Name      string `json:"name"`
 	Semantics string `json:"semantics"`
@@ -36,12 +35,11 @@ type PlannerCase struct {
 	Atoms     int    `json:"atoms"`
 	Queries   int    `json:"queries"`
 
-	// Actual executed routes (from each answer's path, not the
-	// decision): fast + warm are session-handled, the rest planner-routed.
+	// Executed routes, from each answer's path: fast + warm are
+	// session-handled, the rest fresh.
 	Fast  int `json:"fast_queries"`
 	Warm  int `json:"warm_queries"`
 	Fresh int `json:"fresh_queries"`
-	Brute int `json:"brute_queries"`
 
 	OffNP  int64 `json:"planner_off_np_calls"` // pinned by benchgate
 	OnNP   int64 `json:"planner_on_np_calls"`  // reported, not gated
@@ -74,12 +72,11 @@ func plannerQueries(d *db.DB) []plannerQuery {
 }
 
 // plannerDBs builds the seeded instance families: a definite program
-// (fast path), a general positive database too large for brute
-// construction (warm sessions), and a tiny general positive database
-// inside the brute cap (brute cold, estimate-driven routing once
-// calibrated, brute whenever the cost model reads the key as
-// expensive; CWA on the same instance pins the NP-class fresh route
-// the planner must leave alone).
+// (fast path), a general positive database (warm sessions), and a tiny
+// general positive database whose DSM literals are Σ₂ᵖ-class work no
+// session handles (the fresh path, classed expensive while cold or
+// when the cost model reads the key as expensive; CWA on the same
+// instance pins the NP-class fresh route).
 func plannerDBs(scale Scale) []struct {
 	name string
 	db   *db.DB
@@ -154,12 +151,13 @@ func plannerFresh(d *db.DB, semName string, q plannerQuery) (bool, oracle.Counte
 	return holds, o.Counters(), err
 }
 
-// plannerRoute is the serve layer's procedure ladder in library form:
-// the warm session first, then the planner's routed procedure, then
-// the fresh path. Every finished query's counters feed the cost model,
-// exactly as the server observes them.
-func plannerRoute(ctx context.Context, planner *plan.Planner, mgr *session.Manager, comp *session.Compiled, d *db.DB, semName string, q plannerQuery) (holds bool, np int64, path string, err error) {
-	dec := planner.Decide(comp, semName, q.kind)
+// plannerRoute is the serve layer's query path in library form: the
+// planner classifies the query (the decision admission would read),
+// then the warm session answers what it handles and the fresh path the
+// rest. Every finished query's counters feed the cost model, exactly
+// as the server observes them.
+func plannerRoute(ctx context.Context, planner *plan.Planner, mgr *session.Manager, comp *session.Compiled, d *db.DB, semName string, q plannerQuery) (holds bool, np int64, path string, dec plan.Decision, err error) {
+	dec = planner.Decide(comp, semName, q.kind)
 	start := time.Now()
 	observe := func(c oracle.Counters) {
 		planner.Observe(comp.Raw, semName, plan.Cost{
@@ -173,32 +171,25 @@ func plannerRoute(ctx context.Context, planner *plan.Planner, mgr *session.Manag
 		Sem: semName, Kind: q.kind, Lit: q.lit, QueryText: q.text,
 	}); handled {
 		if res.Err != nil {
-			return false, 0, "", fmt.Errorf("session %s: %v", q.text, res.Err)
+			return false, 0, "", dec, fmt.Errorf("session %s: %v", q.text, res.Err)
 		}
 		observe(res.Counters)
-		return res.Holds, res.Counters.NPCalls, res.Path, nil
-	}
-
-	if dec.Proc == plan.ProcBrute {
-		if h, ok := plan.Brute(ctx, comp, semName, q.kind, q.lit, nil, planner.BruteMaxAtoms()); ok {
-			observe(oracle.Counters{})
-			return h, 0, "brute", nil
-		}
+		return res.Holds, res.Counters.NPCalls, res.Path, dec, nil
 	}
 
 	h, c, ferr := plannerFresh(d, semName, q)
 	if ferr != nil {
-		return false, 0, "", ferr
+		return false, 0, "", dec, ferr
 	}
 	observe(c)
-	return h, c.NPCalls, "", nil
+	return h, c.NPCalls, "", dec, nil
 }
 
 // runPlannerCase drives the doubled query stream for one (instance,
-// semantics) pair through both legs — plus, when the pair is inside
-// the brute cap, a third round after inflating the key's estimate, in
-// which every planner-routed query must go brute and answer for zero
-// oracle calls.
+// semantics) pair through both legs — plus, when the pair's literals
+// are Σ₂ᵖ-class work no warm session takes, a third round after
+// inflating the key's estimate, in which every fresh-path query must
+// be classed expensive and every verdict must stay put.
 func runPlannerCase(name string, d *db.DB, semName string) (PlannerCase, error) {
 	pc := PlannerCase{Name: name, Semantics: semName, Atoms: d.N()}
 	ctx := context.Background()
@@ -208,9 +199,10 @@ func runPlannerCase(name string, d *db.DB, semName string) (PlannerCase, error) 
 	mgr := session.NewManager(session.Config{})
 	comp := mgr.InternDB(d)
 	pc.Fragment = comp.Frag.String()
-	forced := plan.BruteEligible(comp, semName, planner.BruteMaxAtoms())
+	inflate := plan.ClassOf(comp, semName, session.KindLiteral) == plan.ClassSigma2 &&
+		!session.WarmEligible(semName, session.KindLiteral)
 	rounds := 2
-	if forced {
+	if inflate {
 		rounds = 3
 	}
 
@@ -236,13 +228,13 @@ func runPlannerCase(name string, d *db.DB, semName string) (PlannerCase, error) 
 
 	onStart := time.Now()
 	for round := 0; round < rounds; round++ {
-		if forced && round == 2 {
+		if inflate && round == 2 {
 			// Teach the cost model the key is expensive: from here every
-			// planner-routed decision for it must pick brute.
+			// fresh-path decision for it must be in the expensive tier.
 			planner.Observe(comp.Raw, semName, plan.Cost{NPCalls: 10_000})
 		}
 		for i, q := range qs {
-			h, np, path, err := plannerRoute(ctx, planner, mgr, comp, d, semName, q)
+			h, np, path, dec, err := plannerRoute(ctx, planner, mgr, comp, d, semName, q)
 			if err != nil {
 				return pc, fmt.Errorf("planner %s/%s: %v", name, semName, err)
 			}
@@ -253,25 +245,18 @@ func runPlannerCase(name string, d *db.DB, semName string) (PlannerCase, error) 
 				return pc, fmt.Errorf("planner %s/%s: %s %q verdict diverged: off %v, on %v (path %q)",
 					name, semName, q.kind, q.text, want[i], h, path)
 			}
-			switch {
-			case path == "fast":
+			switch path {
+			case "fast":
 				pc.Fast++
 				pc.FastNP += np
-			case path == "brute":
-				pc.Brute++
-				if np != 0 {
-					return pc, fmt.Errorf("planner %s/%s: brute answer for %q consumed %d NP calls, want 0", name, semName, q.text, np)
-				}
-			case path == "":
+			case "":
 				pc.Fresh++
 			default:
 				pc.Warm++
 			}
-			// Expensive-estimate round: every answer must be free — the
-			// session's zero-NP routes or the oracle-free brute set.
-			if forced && round == 2 && path != "brute" && np != 0 {
-				return pc, fmt.Errorf("planner %s/%s: expensive-estimate round routed %q via %q for %d NP calls, want brute",
-					name, semName, q.text, path, np)
+			if inflate && round == 2 && path == "" && !planner.Expensive(dec) {
+				return pc, fmt.Errorf("planner %s/%s: expensive-estimate round classed %q as %v (est %d), want the expensive tier",
+					name, semName, q.text, dec.Class, dec.EstNP)
 			}
 		}
 	}
@@ -296,8 +281,8 @@ func runPlannerCase(name string, d *db.DB, semName string) (PlannerCase, error) 
 func runPlannerSweep(scale Scale, w io.Writer, rep *ParallelReport) error {
 	fmt.Fprintln(w)
 	fmt.Fprintf(w, "  cost-based planner (same workload, planner off vs on):\n")
-	fmt.Fprintf(w, "  %-14s %-5s %-12s %4s %5s %5s %6s %6s %8s %8s %10s %10s %8s\n",
-		"instance", "sem", "fragment", "q", "fast", "warm", "fresh", "brute", "NP-off", "NP-on", "off", "on", "speedup")
+	fmt.Fprintf(w, "  %-14s %-5s %-12s %4s %5s %5s %6s %8s %8s %10s %10s %8s\n",
+		"instance", "sem", "fragment", "q", "fast", "warm", "fresh", "NP-off", "NP-on", "off", "on", "speedup")
 
 	for _, fam := range plannerDBs(scale) {
 		for _, semName := range fam.sems {
@@ -312,14 +297,14 @@ func runPlannerSweep(scale Scale, w io.Writer, rep *ParallelReport) error {
 				return fmt.Errorf("planner %s/%s: definite family never hit the fast path", pc.Name, pc.Semantics)
 			case strings.HasPrefix(fam.name, "warm") && pc.Warm == 0:
 				return fmt.Errorf("planner %s/%s: warm family never hit a warm session", pc.Name, pc.Semantics)
-			case strings.HasPrefix(fam.name, "tiny") && pc.Semantics == "DSM" && pc.Brute == 0:
-				return fmt.Errorf("planner %s/%s: tiny family never hit brute", pc.Name, pc.Semantics)
+			case strings.HasPrefix(fam.name, "tiny") && pc.Semantics == "DSM" && pc.Fresh == 0:
+				return fmt.Errorf("planner %s/%s: tiny Σ₂ᵖ family never took the fresh path", pc.Name, pc.Semantics)
 			case pc.Semantics == "CWA" && pc.Fresh == 0:
 				return fmt.Errorf("planner %s/%s: NP-class family never took the fresh path", pc.Name, pc.Semantics)
 			}
 			rep.Planner = append(rep.Planner, pc)
-			fmt.Fprintf(w, "  %-14s %-5s %-12s %4d %5d %5d %6d %6d %8d %8d %10s %10s %7.1fx\n",
-				pc.Name, pc.Semantics, pc.Fragment, pc.Queries, pc.Fast, pc.Warm, pc.Fresh, pc.Brute,
+			fmt.Fprintf(w, "  %-14s %-5s %-12s %4d %5d %5d %6d %8d %8d %10s %10s %7.1fx\n",
+				pc.Name, pc.Semantics, pc.Fragment, pc.Queries, pc.Fast, pc.Warm, pc.Fresh,
 				pc.OffNP, pc.OnNP,
 				fmtDuration(time.Duration(pc.OffMS*float64(time.Millisecond))),
 				fmtDuration(time.Duration(pc.OnMS*float64(time.Millisecond))),

@@ -34,13 +34,6 @@ func (e entry) meanNP() int64 {
 	return e.sumNP / e.count
 }
 
-func (e entry) meanUS() int64 {
-	if e.count == 0 {
-		return 0
-	}
-	return e.sumMicros / e.count
-}
-
 // Estimator is the per-(fingerprint, semantics) cost model. A single
 // mutex over the map is enough: observations are a handful of integer
 // adds, far cheaper than the NP search they describe.

@@ -1,8 +1,6 @@
 package plan
 
 import (
-	"fmt"
-	"strings"
 	"sync"
 	"testing"
 
@@ -20,17 +18,6 @@ func compile(t *testing.T, text string) *session.Compiled {
 		t.Fatalf("parse %q: %v", text, err)
 	}
 	return session.NewManager(session.Config{}).InternDB(d)
-}
-
-// wideDB builds a positive disjunctive database over n atoms — above
-// the brute cap it forces the fresh route.
-func wideDB(t *testing.T, n int) *session.Compiled {
-	t.Helper()
-	var b strings.Builder
-	for i := 0; i+1 < n; i += 2 {
-		fmt.Fprintf(&b, "x%d | x%d. ", i, i+1)
-	}
-	return compile(t, b.String())
 }
 
 func TestClassOf(t *testing.T) {
@@ -61,71 +48,44 @@ func TestClassOf(t *testing.T) {
 	}
 }
 
-func TestDecideLadder(t *testing.T) {
+// TestDecideClassifies pins what a decision carries: the query's cost
+// class, and the key's calibrated mean NP estimate once an observation
+// has landed — nothing about the instance's size.
+func TestDecideClassifies(t *testing.T) {
 	definite := compile(t, "a. b :- a.")
 	disj := compile(t, "a | b.")
-	wide := wideDB(t, 20)
 
 	p := New(Config{})
-	if d := p.Decide(definite, "GCWA", session.KindLiteral); d.Proc != ProcFast {
-		t.Errorf("definite GCWA literal routed %v, want fast", d.Proc)
+	if d := p.Decide(definite, "GCWA", session.KindLiteral); d.Class != ClassPoly || d.HaveEst {
+		t.Errorf("definite GCWA literal: %+v, want cold poly", d)
 	}
-	if d := p.Decide(disj, "DDR", session.KindModel); d.Proc != ProcFast {
-		t.Errorf("positive DDR existence routed %v, want fast", d.Proc)
+	if d := p.Decide(disj, "CWA", session.KindLiteral); d.Class != ClassNP {
+		t.Errorf("CWA literal: %+v, want np", d)
 	}
-	// A polynomial cell without a fast path (DDR existence once a denial
-	// disables the positive-existence shortcut) goes fresh: the engine
-	// answers it without search, no warm state or race needed.
-	denial := compile(t, "a | b. :- a, b.")
-	if d := p.Decide(denial, "DDR", session.KindModel); d.Proc != ProcFresh || d.Class != ClassPoly {
-		t.Errorf("DDR existence with IC routed %v class %v, want fresh/poly", d.Proc, d.Class)
-	}
-	if d := p.Decide(disj, "GCWA", session.KindLiteral); d.Proc != ProcWarm {
-		t.Errorf("disjunctive GCWA literal routed %v, want warm", d.Proc)
-	}
-	if d := p.Decide(wide, "DSM", session.KindLiteral); d.Proc != ProcFresh {
-		t.Errorf("20-atom DSM literal routed %v, want fresh (above brute cap)", d.Proc)
-	}
-	if d := p.Decide(disj, "CWA", session.KindLiteral); d.Proc != ProcFresh {
-		t.Errorf("CWA literal routed %v, want fresh (no brute reference)", d.Proc)
+	d := p.Decide(disj, "DSM", session.KindLiteral)
+	if d.Class != ClassSigma2 || d.HaveEst || !p.Expensive(d) {
+		t.Fatalf("cold tiny DSM literal: %+v (expensive=%v), want cold sigma2 in the expensive tier", d, p.Expensive(d))
 	}
 
-	// The brute/fresh boundary on a tiny Σ₂ᵖ query: cold goes brute; a
-	// cheap calibrated estimate goes fresh; a boundary-straddling or
-	// clearly-expensive one goes brute.
-	d := p.Decide(disj, "DSM", session.KindLiteral)
-	if d.Proc != ProcBrute || d.HaveEst {
-		t.Fatalf("cold tiny DSM literal routed %v (haveEst=%v), want brute cold", d.Proc, d.HaveEst)
-	}
+	// The estimate is the mean over observations, per (fingerprint,
+	// semantics) key.
 	p.Observe(disj.Raw, "DSM", Cost{NPCalls: 2, Micros: 10})
-	if d := p.Decide(disj, "DSM", session.KindLiteral); d.Proc != ProcFresh || !d.HaveEst || d.EstNP != 2 {
-		t.Errorf("cheap-estimate DSM routed %v (est %d), want fresh", d.Proc, d.EstNP)
+	p.Observe(disj.Raw, "DSM", Cost{NPCalls: 6, Micros: 30})
+	if d := p.Decide(disj, "DSM", session.KindLiteral); !d.HaveEst || d.EstNP != 4 || p.Expensive(d) {
+		t.Errorf("calibrated-cheap DSM: %+v (expensive=%v), want est 4, not expensive", d, p.Expensive(d))
 	}
-	p2 := New(Config{})
-	p2.Observe(disj.Raw, "DSM", Cost{NPCalls: 6})
-	if d := p2.Decide(disj, "DSM", session.KindLiteral); d.Proc != ProcBrute {
-		t.Errorf("boundary-estimate DSM routed %v, want brute", d.Proc)
+	if d := p.Decide(disj, "GCWA", session.KindLiteral); d.HaveEst {
+		t.Errorf("GCWA decision served DSM's estimate: %+v", d)
 	}
-	// PWS and PMS have no brute route: split enumeration is not bounded
-	// by the atom cap, so even a tiny instance goes fresh.
-	for _, sem := range []string{"PWS", "PMS"} {
-		if BruteEligible(disj, sem, 16) {
-			t.Errorf("BruteEligible(%s) = true, want false", sem)
-		}
-		if d := p2.Decide(disj, sem, session.KindFormula); d.Proc != ProcFresh {
-			t.Errorf("tiny %s formula routed %v, want fresh", sem, d.Proc)
-		}
-	}
-	p3 := New(Config{})
-	p3.Observe(disj.Raw, "DSM", Cost{NPCalls: 40})
-	if d := p3.Decide(disj, "DSM", session.KindLiteral); d.Proc != ProcBrute {
-		t.Errorf("expensive-estimate DSM routed %v, want brute", d.Proc)
+	p.Observe(disj.Raw, "DSM", Cost{NPCalls: 100})
+	if d := p.Decide(disj, "DSM", session.KindLiteral); !p.Expensive(d) {
+		t.Errorf("calibrated-expensive DSM: %+v, want expensive", d)
 	}
 
 	st := p.Stats()
-	if st["decisions"] == 0 || st["routed_fast"] == 0 || st["routed_warm"] == 0 ||
-		st["routed_fresh"] == 0 || st["routed_brute"] == 0 {
-		t.Errorf("routing counters not maintained: %v", st)
+	if len(st) != 5 || st["decisions"] != 6 || st["estimates_served"] != 2 ||
+		st["estimate_entries"] != 1 || st["observations"] != 3 {
+		t.Errorf("planner stats %v, want 5 keys: decisions=6 estimates_served=2 estimate_entries=1 observations=3", st)
 	}
 }
 
@@ -134,7 +94,7 @@ func TestShouldShed(t *testing.T) {
 	definite := compile(t, "a. b :- a.")
 	p := New(Config{})
 
-	cold := p.Decide(wideDB(t, 20), "DSM", session.KindLiteral) // Σ₂ᵖ, cold, above the brute cap
+	cold := p.Decide(disj, "DSM", session.KindLiteral) // Σ₂ᵖ, cold
 	if p.ShouldShed(cold, 3, 8) {
 		t.Error("shed below the occupancy threshold")
 	}
@@ -157,22 +117,10 @@ func TestShouldShed(t *testing.T) {
 	if d := p.Decide(disj, "DSM", session.KindLiteral); p.ShouldShed(d, 8, 8) {
 		t.Error("calibrated-cheap Σ₂ᵖ query shed")
 	}
-	// A calibrated-expensive key sheds only where brute can't rescue it:
-	// on a wide instance (above the brute cap) the expensive Σ₂ᵖ query
-	// is the first to go.
-	wide := wideDB(t, 20)
-	p4 := New(Config{})
-	p4.Observe(wide.Raw, "DSM", Cost{NPCalls: 100})
-	if d := p4.Decide(wide, "DSM", session.KindLiteral); d.Proc != ProcFresh || !p4.ShouldShed(d, 8, 8) {
-		t.Errorf("calibrated-expensive wide Σ₂ᵖ query (proc %v) not shed under overload", d.Proc)
-	}
-
-	// On a tiny instance the same expensive estimate routes brute
-	// instead — and brute-routed queries never shed: answering is
-	// cheaper than queuing.
-	p4.Observe(disj.Raw, "DSM", Cost{NPCalls: 100})
-	if d := p4.Decide(disj, "DSM", session.KindLiteral); d.Proc != ProcBrute || p4.ShouldShed(d, 8, 8) {
-		t.Errorf("brute-routed query (proc %v) shed under overload", d.Proc)
+	p2 := New(Config{})
+	p2.Observe(disj.Raw, "DSM", Cost{NPCalls: 100})
+	if d := p2.Decide(disj, "DSM", session.KindLiteral); !p2.ShouldShed(d, 8, 8) {
+		t.Error("calibrated-expensive Σ₂ᵖ query not shed under overload")
 	}
 }
 

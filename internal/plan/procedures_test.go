@@ -11,14 +11,15 @@ import (
 	_ "disjunct/internal/semantics/all"
 )
 
-// TestProcedureIdentityAcrossFragments is the planner's end-to-end
-// verdict-identity gate: for every fragment family the router can see,
-// every procedure it chooses between — fresh engines, fragment fast
-// path, warm session, brute refsem — must return the identical verdict
-// on every literal-inference and model-existence query. Coverage
-// assertions make the identity claim non-vacuous: the definite family
-// must actually exercise the fast path, and the tiny general family
-// must actually exercise brute construction and warm sessions.
+// TestProcedureIdentityAcrossFragments is the serving stack's
+// end-to-end verdict-identity gate: for every fragment family a served
+// query can fall into, every procedure that can answer it — fresh
+// engines, fragment fast path, warm session — must return the verdict
+// the refsem reference model set gives, on every literal-inference and
+// model-existence query. Coverage assertions make the identity claim
+// non-vacuous: the definite family must actually exercise the fast
+// path, and the tiny positive family must actually exercise warm
+// sessions and the reference comparison.
 func TestProcedureIdentityAcrossFragments(t *testing.T) {
 	if testing.Short() {
 		t.Skip("cross-checking every procedure is slow")
@@ -46,7 +47,7 @@ func TestProcedureIdentityAcrossFragments(t *testing.T) {
 	sems := []string{"GCWA", "CCWA", "EGCWA", "ECWA", "CIRC", "CWA",
 		"DDR", "WGCWA", "PWS", "PMS", "DSM", "PERF", "ICWA"}
 
-	stats := map[string]semtest.ProcedureStats{}
+	stats := map[string]semtest.CrossCheckStats{}
 	for _, fam := range families {
 		for _, sem := range sems {
 			t.Run(fam.name+"/"+sem, func(t *testing.T) {
@@ -59,11 +60,11 @@ func TestProcedureIdentityAcrossFragments(t *testing.T) {
 	if s := stats["definite/GCWA"]; s.Fast == 0 {
 		t.Errorf("definite/GCWA never hit the fast path: %+v", s)
 	}
-	if s := stats["positive/GCWA"]; s.Warm == 0 || s.Brute == 0 {
-		t.Errorf("positive/GCWA skipped warm or brute coverage: %+v", s)
+	if s := stats["positive/GCWA"]; s.Warm == 0 || s.Ref == 0 {
+		t.Errorf("positive/GCWA skipped warm or reference coverage: %+v", s)
 	}
-	if s := stats["positive/DSM"]; s.Brute == 0 {
-		t.Errorf("positive/DSM never exercised brute construction: %+v", s)
+	if s := stats["positive/DSM"]; s.Ref == 0 {
+		t.Errorf("positive/DSM never compared against the reference: %+v", s)
 	}
 	if s := stats["general/DSM"]; s.Queries == 0 {
 		t.Errorf("general/DSM compared zero queries")

@@ -1,7 +1,8 @@
 // Package semtest provides the shared verdict-identity harnesses used
 // by the session and planner tests: every route the serving stack can
-// take — fragment fast path, warm session, brute refsem construction —
-// must answer exactly as the fresh semantics engines do.
+// take — fragment fast path, warm session, fresh engines — must answer
+// exactly as the paper's model-theoretic definitions (internal/refsem)
+// do.
 package semtest
 
 import (
@@ -12,41 +13,62 @@ import (
 	"disjunct/internal/core"
 	"disjunct/internal/db"
 	"disjunct/internal/logic"
-	"disjunct/internal/plan"
+	"disjunct/internal/refsem"
 	"disjunct/internal/session"
 )
 
-// ProcedureStats summarises one CrossCheckProcedures run so callers
-// can assert route coverage: a fragment family whose fast path never
-// fired, or a tiny-instance family the brute procedure never answered,
-// is a harness bug (the identity claim would be vacuous).
-type ProcedureStats struct {
+// CrossCheckStats summarises one CrossCheckProcedures run so callers
+// can assert coverage: a fragment family whose fast path never fired,
+// or a tiny-instance family never compared against the reference
+// model sets, is a harness bug (the identity claim would be vacuous).
+type CrossCheckStats struct {
 	Queries int // (db, kind, query) triples compared
 	Fast    int // answered by the fragment fast path
 	Warm    int // handled by the warm session layer
-	Brute   int // answered by brute refsem construction
+	Ref     int // compared against the refsem reference model set
 }
 
-// CrossCheckProcedures is the planner's verdict-identity harness: for
-// every database the generator produces it runs each literal-inference
-// and model-existence query through all four procedures the planner
-// routes between — the fresh engines (core.New, the reference for this
-// check), the fragment fast path (session.FastVerdict), a warm session
-// (session.Manager.Query, shared across iterations so memo hits and
-// engine reuse are exercised), and brute refsem construction
-// (plan.Brute) — and requires every procedure that answers to return
-// the identical verdict. Queries the fresh path refuses (ErrUnsupported
-// outside the semantics' class) must be refused or unanswered by every
-// other procedure too: routing must never turn a typed semantic
-// refusal into a verdict.
-func CrossCheckProcedures(t *testing.T, semName string, iters int, dbFor func(iter int, rng *rand.Rand) *db.DB) ProcedureStats {
+// refSets maps a semantics onto the refsem construction of its model
+// set under the engines' defaults (nil partition = full minimisation):
+// CCWA with P = all atoms is GCWA; ECWA and CIRC collapse onto EGCWA's
+// minimal models; WGCWA shares DDR's model set. CWA has no reference
+// construction, PDSM enumerates partial models (a different answer
+// shape), ICWA's stratifiability is dynamic, and refsem.PWS enumerates
+// split programs, so those semantics are compared fresh-vs-session
+// only.
+var refSets = map[string]func(*db.DB) []logic.Interp{
+	"GCWA":  refsem.GCWA,
+	"CCWA":  refsem.GCWA,
+	"EGCWA": refsem.EGCWA,
+	"ECWA":  refsem.EGCWA,
+	"CIRC":  refsem.EGCWA,
+	"DDR":   refsem.DDR,
+	"WGCWA": refsem.DDR,
+	"DSM":   refsem.DSM,
+	"PERF":  refsem.PERF,
+}
+
+// CrossCheckProcedures is the serving stack's verdict-identity
+// harness: for every database the generator produces it runs each
+// literal-inference and model-existence query through the fresh
+// engines (core.New), the fragment fast path (session.FastVerdict) and
+// a warm session (session.Manager.Query, shared across iterations so
+// memo hits and engine reuse are exercised), and requires every
+// procedure that answers to return the verdict the paper's
+// definitions give — the refsem model set where one is mapped, the
+// fresh engine otherwise. Queries the fresh path refuses
+// (ErrUnsupported outside the semantics' class) must be refused or
+// unanswered by the fast path too: routing must never turn a typed
+// semantic refusal into a verdict.
+func CrossCheckProcedures(t *testing.T, semName string, iters int, dbFor func(iter int, rng *rand.Rand) *db.DB) CrossCheckStats {
 	t.Helper()
 	rng := rand.New(rand.NewSource(977))
 	mgr := session.NewManager(session.Config{})
 	ctx := context.Background()
-	var stats ProcedureStats
+	var stats CrossCheckStats
 
 	sem, ok := core.New(semName, core.Options{})
+	info, _ := core.InfoFor(semName)
 	if !ok {
 		t.Fatalf("semantics %q not registered", semName)
 	}
@@ -54,6 +76,15 @@ func CrossCheckProcedures(t *testing.T, semName string, iters int, dbFor func(it
 	for iter := 0; iter < iters; iter++ {
 		d := dbFor(iter, rng)
 		comp := mgr.InternDB(d)
+		// The reference set, when the semantics has one and applies to
+		// the database's syntactic features.
+		var set []logic.Interp
+		ref := refSets[semName]
+		if ref != nil && info.Applicable(comp.HasNeg, comp.HasIC) {
+			set = ref(d)
+		} else {
+			ref = nil
+		}
 
 		type query struct {
 			kind session.Kind
@@ -78,10 +109,6 @@ func CrossCheckProcedures(t *testing.T, semName string, iters int, dbFor func(it
 			if wantErr != nil {
 				// Outside the semantics' class: no other procedure may
 				// answer where the reference refuses.
-				if holds, ok := plan.Brute(ctx, comp, semName, q.kind, q.lit, nil, 16); ok {
-					t.Fatalf("iter %d: %s %v: fresh refused (%v) but brute answered %v\nDB:\n%s",
-						iter, semName, q.kind, wantErr, holds, d.String())
-				}
 				if holds, ok := session.FastVerdict(comp, semName, q.kind, q.lit, nil); ok {
 					t.Fatalf("iter %d: %s %v: fresh refused (%v) but fast path answered %v\nDB:\n%s",
 						iter, semName, q.kind, wantErr, holds, d.String())
@@ -89,6 +116,18 @@ func CrossCheckProcedures(t *testing.T, semName string, iters int, dbFor func(it
 				continue
 			}
 			stats.Queries++
+
+			if ref != nil {
+				stats.Ref++
+				got := len(set) > 0
+				if q.kind == session.KindLiteral {
+					got = refsem.Entails(set, logic.LitF(q.lit))
+				}
+				if got != want {
+					t.Fatalf("iter %d: %s %v %s: fresh=%v refsem=%v\nDB:\n%s",
+						iter, semName, q.kind, q.text, want, got, d.String())
+				}
+			}
 
 			if got, ok := session.FastVerdict(comp, semName, q.kind, q.lit, nil); ok {
 				stats.Fast++
@@ -110,14 +149,6 @@ func CrossCheckProcedures(t *testing.T, semName string, iters int, dbFor func(it
 				if res.Holds != want {
 					t.Fatalf("iter %d: %s %v %s (path %s): warm=%v fresh=%v\nDB:\n%s",
 						iter, semName, q.kind, q.text, res.Path, res.Holds, want, d.String())
-				}
-			}
-
-			if got, ok := plan.Brute(ctx, comp, semName, q.kind, q.lit, nil, 16); ok {
-				stats.Brute++
-				if got != want {
-					t.Fatalf("iter %d: %s %v %s: brute=%v fresh=%v\nDB:\n%s",
-						iter, semName, q.kind, q.text, got, want, d.String())
 				}
 			}
 		}

@@ -13,15 +13,13 @@ import (
 	"disjunct/internal/session"
 )
 
-// execute runs one admitted query under its clamped budget. The
-// procedure ladder is: warm session layer (fragment fast paths and
-// warm incremental engines) first, then — when the planner is on — the
-// brute refsem procedure for tiny instances, and finally the fresh
-// per-attempt path with bounded transient retries. It
-// returns the wire response, or a semantic error (ErrUnsupported /
-// ErrNotStratifiable) for the handler to surface as a typed 422.
-// Every finished query's measured counters feed the planner's cost
-// model.
+// execute runs one admitted query under its clamped budget: the warm
+// session layer (fragment fast paths and warm incremental engines)
+// first, then the fresh per-attempt path with bounded transient
+// retries. It returns the wire response, or a semantic error
+// (ErrUnsupported / ErrNotStratifiable) for the handler to surface as
+// a typed 422. Every finished query's measured counters feed the
+// planner's cost model.
 func (s *Server) execute(reqCtx context.Context, kind string, pq parsedQuery) (QueryResponse, error) {
 	seq := s.reqSeq.Add(1)
 
@@ -40,7 +38,7 @@ func (s *Server) execute(reqCtx context.Context, kind string, pq parsedQuery) (Q
 
 	// Warm session layer first: fragment fast paths (zero NP calls)
 	// and warm incremental engines for the minimal-model family.
-	// Unhandled queries fall through to the planner / fresh path.
+	// Unhandled queries fall through to the fresh path.
 	// The session budget derives from the same chained context, so
 	// drain cancellation reaches warm solves as typed interruptions;
 	// fault injection never reaches the warm path (its engine solves
@@ -51,14 +49,6 @@ func (s *Server) execute(reqCtx context.Context, kind string, pq parsedQuery) (Q
 			s.observeCost(pq, resp)
 			return resp, nil
 		}
-	}
-
-	if s.planner != nil && pq.planned && pq.dec.Proc == plan.ProcBrute {
-		if resp, ok := s.executeBrute(ctx, kind, pq); ok {
-			s.observeCost(pq, resp)
-			return resp, nil
-		}
-		// Ineligible after all (or already canceled): fresh path.
 	}
 
 	resp, semErr := s.freshLoop(ctx, kind, pq, seq)
@@ -125,29 +115,6 @@ func (s *Server) freshLoop(ctx context.Context, kind string, pq parsedQuery, seq
 			SolveMS:    float64(time.Since(start)) / float64(time.Millisecond),
 		}, nil
 	}
-}
-
-// executeBrute answers a tiny instance by explicit refsem model-set
-// construction — no oracle, no search, a definite verdict in
-// microseconds. ok is false when the pair turns out ineligible (the
-// caller falls back to the fresh path).
-func (s *Server) executeBrute(ctx context.Context, kind string, pq parsedQuery) (QueryResponse, bool) {
-	start := time.Now()
-	holds, ok := plan.Brute(ctx, pq.comp, pq.semName, sessionKind(kind), pq.lit, pq.formula, s.planner.BruteMaxAtoms())
-	if !ok {
-		return QueryResponse{}, false
-	}
-	v, _ := core.VerdictOf(holds, nil)
-	return QueryResponse{
-		Semantics: pq.semName,
-		Kind:      kind,
-		Verdict:   VerdictString(v),
-		Holds:     holds,
-		Counters:  CountersFrom(oracle.Counters{}),
-		Limits:    LimitsFrom(pq.eff),
-		Path:      "brute",
-		SolveMS:   float64(time.Since(start)) / float64(time.Millisecond),
-	}, true
 }
 
 // observeCost feeds one finished query's measured counters into the

@@ -22,11 +22,10 @@ func newPlannerServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	return srv, ts
 }
 
-// TestPlannerVerdictIdentityAndPaths drives one query through every
-// procedure the planner routes between — fast path, warm session,
-// brute, and fresh — and checks each served verdict
-// against the direct library call. The planner must never move a
-// verdict, only the route that produces it.
+// TestPlannerVerdictIdentityAndPaths drives one query down each route
+// a planner-enabled server has — fast path, warm session, and fresh —
+// and checks each served verdict against the direct library call.
+// Classification and cost-aware admission must never move a verdict.
 func TestPlannerVerdictIdentityAndPaths(t *testing.T) {
 	srv, ts := newPlannerServer(t, Config{})
 
@@ -54,30 +53,21 @@ func TestPlannerVerdictIdentityAndPaths(t *testing.T) {
 	if qr := post1("GCWA", "a | b. b | c.", "-a"); qr.Path != "session" {
 		t.Errorf("disjunctive GCWA: path %q, want session", qr.Path)
 	}
-	// Cold tiny Σ₂ᵖ query outside the warm family: brute, zero NP calls.
-	if qr := post1("DSM", "a | b. b | c.", "-a"); qr.Path != "brute" || qr.Counters.NPCalls != 0 {
-		t.Errorf("cold tiny DSM: path %q np=%d, want brute/0", qr.Path, qr.Counters.NPCalls)
+	// Σ₂ᵖ query outside the warm family, tiny or not: the fresh path.
+	if qr := post1("DSM", "a | b. b | c.", "-a"); qr.Path != "" || qr.Counters.NPCalls == 0 {
+		t.Errorf("tiny DSM: path %q np=%d, want fresh (empty) with oracle calls", qr.Path, qr.Counters.NPCalls)
 	}
-	// Calibrate the key expensive: the next decision routes brute again.
-	ests := srv.planner.Export()
-	if len(ests) == 0 {
-		t.Fatal("no estimate recorded after the brute query")
-	}
-	var dsmRaw string
-	for _, e := range ests {
+	// Calibrating the key expensive changes admission, not the route.
+	for _, e := range srv.planner.Export() {
 		if e.Sem == "DSM" {
-			dsmRaw = e.Raw
+			srv.planner.Observe(e.Raw, "DSM", plan.Cost{NPCalls: 10_000})
 		}
 	}
-	if dsmRaw == "" {
-		t.Fatalf("no DSM estimate in %d exported entries", len(ests))
+	if qr := post1("DSM", "a | b. b | c.", "-a"); qr.Path != "" {
+		t.Errorf("expensive-estimate DSM: path %q, want fresh (empty)", qr.Path)
 	}
-	srv.planner.Observe(dsmRaw, "DSM", plan.Cost{NPCalls: 10_000})
-	if qr := post1("DSM", "a | b. b | c.", "-a"); qr.Path != "brute" || qr.Counters.NPCalls != 0 {
-		t.Errorf("expensive-estimate DSM: path %q np=%d, want brute/0", qr.Path, qr.Counters.NPCalls)
-	}
-	// No brute reference and no warm family: the fresh path, as before
-	// the planner existed.
+	// NP-class and no warm family: the fresh path, as before the
+	// planner existed.
 	if qr := post1("CWA", "a | b.", "-a"); qr.Path != "" {
 		t.Errorf("CWA: path %q, want fresh (empty)", qr.Path)
 	}
@@ -90,20 +80,18 @@ func TestPlannerVerdictIdentityAndPaths(t *testing.T) {
 		t.Fatal("healthz missing planner section on a planner-enabled server")
 	}
 	for _, key := range []string{
-		"decisions", "estimates_served", "estimate_entries", "observations",
-		"routed_fast", "routed_warm", "routed_fresh", "routed_brute", "shed_cost",
+		"decisions", "estimates_served", "estimate_entries", "observations", "shed_cost",
 	} {
 		if _, ok := h.Planner[key]; !ok {
 			t.Fatalf("healthz planner section missing %q: %v", key, h.Planner)
 		}
 	}
 	ps := h.Planner
-	if ps["routed_fast"] == 0 || ps["routed_warm"] == 0 || ps["routed_fresh"] == 0 ||
-		ps["routed_brute"] == 0 {
-		t.Errorf("route coverage missing in planner stats: %v", ps)
+	if ps["decisions"] != 5 || ps["observations"] != 6 || ps["estimates_served"] == 0 {
+		t.Errorf("planner stats %v, want 5 decisions, 6 observations (5 served + 1 injected), served estimates", ps)
 	}
-	if len(ps) != 9 {
-		t.Errorf("healthz planner section has %d keys, want 9: %v", len(ps), ps)
+	if len(ps) != 5 {
+		t.Errorf("healthz planner section has %d keys, want 5: %v", len(ps), ps)
 	}
 	if _, ok := h.Stats["shed_cost"]; !ok {
 		t.Error("healthz stats missing shed_cost counter")
@@ -116,11 +104,10 @@ func TestPlannerVerdictIdentityAndPaths(t *testing.T) {
 }
 
 // TestPlannerCostShedTyped429 pins the cost-aware admission contract:
-// above the occupancy threshold an expensive (Σ₂ᵖ-class, cold, above
-// the brute cap) query
+// above the occupancy threshold an expensive (Σ₂ᵖ-class, cold) query
 // sheds with the typed shed_cost 429 before claiming a queue slot,
-// while fast-path and NP-class traffic keeps being admitted; below the
-// threshold nothing sheds.
+// whatever its size, while fast-path and NP-class traffic keeps being
+// admitted; below the threshold nothing sheds.
 func TestPlannerCostShedTyped429(t *testing.T) {
 	srv, ts := newPlannerServer(t, Config{MaxConcurrent: 1, QueueDepth: 1})
 
@@ -129,19 +116,19 @@ func TestPlannerCostShedTyped429(t *testing.T) {
 	srv.adm.queued.Add(1)
 	defer srv.adm.queued.Add(-1)
 
-	// Ten atoms: above the brute cap, so no oracle-free route rescues
-	// the query from the expensive tier.
 	const wide = "a | b. c | d. e | f. g | h. i | j."
-	status, body := post(t, ts, "/v1/infer/literal", QueryRequest{Semantics: "DSM", DB: wide, Literal: "-a"})
-	if status != http.StatusTooManyRequests {
-		t.Fatalf("cold Σ₂ᵖ query under overload: status %d body %s, want 429", status, body)
-	}
-	er := decodeErrorResponse(t, body)
-	if er.Error != ShedCost {
-		t.Fatalf("shed reason %q, want %q", er.Error, ShedCost)
-	}
-	if er.RetryAfterMS <= 0 {
-		t.Errorf("shed_cost response missing retry_after_ms: %+v", er)
+	for _, dbText := range []string{wide, "a | b. b | c."} {
+		status, body := post(t, ts, "/v1/infer/literal", QueryRequest{Semantics: "DSM", DB: dbText, Literal: "-a"})
+		if status != http.StatusTooManyRequests {
+			t.Fatalf("cold Σ₂ᵖ query on %q under overload: status %d body %s, want 429", dbText, status, body)
+		}
+		er := decodeErrorResponse(t, body)
+		if er.Error != ShedCost {
+			t.Fatalf("shed reason %q, want %q", er.Error, ShedCost)
+		}
+		if er.RetryAfterMS <= 0 {
+			t.Errorf("shed_cost response missing retry_after_ms: %+v", er)
+		}
 	}
 
 	// Cheap traffic is untouched at the same occupancy.
@@ -154,7 +141,7 @@ func TestPlannerCostShedTyped429(t *testing.T) {
 
 	// Below the threshold the same expensive query is admitted.
 	srv.adm.queued.Add(-1)
-	status, body = post(t, ts, "/v1/infer/literal", QueryRequest{Semantics: "DSM", DB: wide, Literal: "-a"})
+	status, body := post(t, ts, "/v1/infer/literal", QueryRequest{Semantics: "DSM", DB: wide, Literal: "-a"})
 	srv.adm.queued.Add(1) // restore for the deferred release
 	if status != http.StatusOK {
 		t.Fatalf("Σ₂ᵖ query below occupancy threshold: status %d body %s", status, body)
@@ -164,8 +151,46 @@ func TestPlannerCostShedTyped429(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h.Stats["shed_cost"] != 1 || h.Planner["shed_cost"] != 1 {
-		t.Errorf("shed_cost counters: stats=%d planner=%d, want 1/1", h.Stats["shed_cost"], h.Planner["shed_cost"])
+	if h.Stats["shed_cost"] != 2 || h.Planner["shed_cost"] != 2 {
+		t.Errorf("shed_cost counters: stats=%d planner=%d, want 2/2", h.Stats["shed_cost"], h.Planner["shed_cost"])
+	}
+}
+
+// TestPlannerRouteStable pins one key's route and cost across repeats:
+// a tiny Σ₂ᵖ literal query sent 20 times to a planner-enabled server
+// must come back on the same path with the same NP-call count every
+// time, and the key's exported estimate must average exactly that
+// count. A procedure whose observed cost feeds back into its own
+// routing (an oracle-free answer observed as 0 NP calls pulling the
+// estimate down until the solver path takes over again) makes the
+// route alternate between repeats and the estimate a mix of two
+// procedures' costs.
+func TestPlannerRouteStable(t *testing.T) {
+	srv, ts := newPlannerServer(t, Config{})
+	const dbText = "a | b. b | c. c | d."
+	var path string
+	var np int64
+	for i := 0; i < 20; i++ {
+		status, body := post(t, ts, "/v1/infer/literal", QueryRequest{Semantics: "DSM", DB: dbText, Literal: "-a"})
+		if status != http.StatusOK {
+			t.Fatalf("repeat %d: status %d body %s", i, status, body)
+		}
+		qr := decodeQueryResponse(t, body)
+		if i == 0 {
+			path, np = qr.Path, qr.Counters.NPCalls
+			continue
+		}
+		if qr.Path != path || qr.Counters.NPCalls != np {
+			t.Fatalf("repeat %d: path %q np=%d, first answer path %q np=%d", i, qr.Path, qr.Counters.NPCalls, path, np)
+		}
+	}
+	ests := srv.planner.Export()
+	if len(ests) != 1 || ests[0].Sem != "DSM" || ests[0].Count != 20 {
+		t.Fatalf("exported estimates %+v, want one DSM entry over 20 observations", ests)
+	}
+	if mean := ests[0].SumNP / ests[0].Count; mean != np || ests[0].SumNP != 20*np {
+		t.Errorf("estimate sums %d NP over %d observations (mean %d), want exactly %d per query",
+			ests[0].SumNP, ests[0].Count, mean, np)
 	}
 }
 

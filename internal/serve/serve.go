@@ -116,20 +116,12 @@ type Config struct {
 	// from disk before /readyz reports ready, and Drain flushes and
 	// closes the store instead of discarding it.
 	Store *store.Store
-	// Planner switches on the cost-based query planner (internal/plan):
-	// every query is classified into a cost class before admission,
-	// routed to the cheapest correct procedure (fast path / warm
-	// session / fresh / brute refsem), and
+	// Planner switches on the cost classifier (internal/plan): every
+	// query is classified into a cost class before admission, and
 	// under overload the admission queue sheds expensive queries first
 	// with a typed shed_cost 429 instead of FIFO. Forces Sessions on
 	// (the planner classifies on the compiled artifact).
 	Planner bool
-	// PlannerBruteAtoms / PlannerExpensiveNP / PlannerShedOccupancy
-	// tune the planner (zero = its defaults: 8 atoms, 8 NP calls, 0.5
-	// occupancy); ignored unless Planner is set.
-	PlannerBruteAtoms    int
-	PlannerExpensiveNP   int64
-	PlannerShedOccupancy float64
 	// BatchMaxQueries caps the queries one /v1/batch request may carry
 	// (default 256; larger batches are rejected with a typed 400).
 	BatchMaxQueries int
@@ -274,12 +266,7 @@ func New(cfg Config) *Server {
 		s.store = cfg.Store
 	}
 	if cfg.Planner {
-		s.planner = plan.New(plan.Config{
-			BruteMaxAtoms: cfg.PlannerBruteAtoms,
-			ExpensiveNP:   cfg.PlannerExpensiveNP,
-			ShedOccupancy: cfg.PlannerShedOccupancy,
-			Store:         cfg.Store,
-		})
+		s.planner = plan.New(plan.Config{Store: cfg.Store})
 	}
 	s.warmedCh = make(chan struct{})
 	if s.store != nil {
@@ -496,10 +483,6 @@ type parsedQuery struct {
 	comp   *session.Compiled
 	qtext  string
 	dbText string
-	// dec is the planner's pre-admission decision; planned reports
-	// whether one was made (planner on and artifact compiled).
-	dec     plan.Decision
-	planned bool
 }
 
 // parseLiteral parses "x", "-x", "~x", or "not x" against a
@@ -607,11 +590,10 @@ func (s *Server) queryHandler(kind string) http.HandlerFunc {
 		// server can still finish keeps completing — under FIFO both
 		// classes would shed alike once the queue fills.
 		if s.planner != nil && pq.comp != nil {
-			pq.dec = s.planner.Decide(pq.comp, pq.semName, sessionKind(kind))
-			pq.planned = true
+			dec := s.planner.Decide(pq.comp, pq.semName, sessionKind(kind))
 			queued, _, _ := s.adm.depth()
-			shed := s.planner.ShouldShed(pq.dec, int(queued), s.adm.queueBound())
-			if !shed && s.planner.Expensive(pq.dec) {
+			shed := s.planner.ShouldShed(dec, int(queued), s.adm.queueBound())
+			if !shed && s.planner.Expensive(dec) {
 				// Bulkhead: the expensive tier holds at most
 				// MaxConcurrent-1 admissions at once, so a burst of
 				// seconds-long Σ₂ᵖ queries can never pin every

@@ -335,9 +335,10 @@ func warmEligible(sem string, kind Kind) bool {
 	return kind != KindFormula || warmFormulaSems[sem]
 }
 
-// WarmEligible exposes warmEligible to the query planner, which needs
-// to know whether a warm session is a candidate procedure before it
-// touches the Manager.
+// WarmEligible exposes warmEligible to callers that need to know
+// whether a warm session would take a query before they touch a
+// Manager (the bench planner sweep, the benchmark's workload
+// generator).
 func WarmEligible(sem string, kind Kind) bool {
 	return warmEligible(sem, kind)
 }
